@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 
 import json
 
-from .groups import GroupTable, PermMap, validate_table
+from .groups import GroupTable, PermMap, _load_table_fields, validate_table
 
 
 class BraceError(ValueError):
@@ -365,16 +365,8 @@ def check_compatibility_equivalence(dot: GroupTable, circ: GroupTable) -> Equiva
 
 
 def parse_brace_tables_json(text: str) -> tuple[GroupTable, GroupTable]:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BraceError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict) or not {"n", "dot", "circ"} <= set(obj):
-        raise BraceError('expected an object with fields "n", "dot" and "circ"')
-    n = obj["n"]
-    if not isinstance(n, int):
-        raise BraceError(f'"n" must be an integer, got {n!r}')
-    return validate_table(n, obj["dot"]), validate_table(n, obj["circ"])
+    obj = _load_table_fields(text, ("dot", "circ"), BraceError)
+    return validate_table(obj["n"], obj["dot"]), validate_table(obj["n"], obj["circ"])
 
 
 def parse_brace_tables_text(text: str) -> tuple[GroupTable, GroupTable]:

@@ -333,19 +333,36 @@ def group_to_text(group: GroupTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_group_json(text: str) -> GroupTable:
+def _load_table_fields(
+    text: str, fields: tuple[str, ...], error: type[ValueError]
+) -> dict:
+    """Parse a JSON object with an integer "n" and the named table fields,
+    each an array of arrays; raise `error` on anything else.
+
+    A JSON boolean is not an integer here, although Python's bool is one.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise GroupTableError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict) or "n" not in obj or "table" not in obj:
-        raise GroupTableError('expected an object with fields "n" and "table"')
+        raise error(f"invalid JSON: {exc}") from None
+    names = [f'"{name}"' for name in ("n", *fields)]
+    if not isinstance(obj, dict) or not {"n", *fields} <= set(obj):
+        raise error(
+            f"expected an object with fields {', '.join(names[:-1])} and {names[-1]}"
+        )
     n = obj["n"]
-    if not isinstance(n, int):
-        raise GroupTableError(f'"n" must be an integer, got {n!r}')
-    if not isinstance(obj["table"], list):
-        raise GroupTableError('"table" must be an array of arrays')
-    return validate_table(n, obj["table"])
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise error(f'"n" must be an integer, got {n!r}')
+    for name in fields:
+        rows = obj[name]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise error(f'"{name}" must be an array of arrays')
+    return obj
+
+
+def parse_group_json(text: str) -> GroupTable:
+    obj = _load_table_fields(text, ("table",), GroupTableError)
+    return validate_table(obj["n"], obj["table"])
 
 
 def group_to_json(group: GroupTable) -> str:

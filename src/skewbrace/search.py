@@ -15,7 +15,16 @@ any disagreement between the two is a bug, never a tolerance.
 Catalogs are canonically sorted (lexicographic on the concatenated
 circ-then-dot tables) so that both routes, and repeated runs, produce
 byte-identical output. Up-to-isomorphism entries are canonical forms: the
-lexicographically smallest relabeling fixing 0.
+lexicographically smallest (circ, dot) relabeling fixing 0, and each group
+class is represented by its lexicographically smallest table.
+
+Neither minimum is found by trying every relabeling. If p is the smallest
+prime dividing n, every group of order n has elements of order p and no
+smaller nontrivial order, so row 1 of a lexicographically smallest table is
+always the left translation with cycles (0 1 .. p-1)(p .. 2p-1)... The group
+closure is seeded with that row, and a canonical brace labels a circ element
+g of order p as 1 and g^j o h_i as i*p + j, branching only on g and the coset
+representatives h_i. The (n-1)! brute force is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -71,8 +80,11 @@ def brace_sort_key(brace: SkewBrace) -> tuple[int, ...]:
 # --- group table enumeration (production route) -----------------------------
 
 
-def _closure_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every group table on 0..n-1 with identity 0.
+def _closure_tables(
+    n: int, row1: tuple[int, ...] | None = None
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield every group table on 0..n-1 with identity 0 (and with row 1
+    equal to row1, when given).
 
     Rows are left translations; assigning row a and row b forces row a.b to
     be their composition, so the search branches only on generator rows and
@@ -152,12 +164,34 @@ def _closure_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
                 yield from dfs()
             undo(trail)
 
+    if row1 is not None:
+        trail: list[int] = []
+        put(1, row1, trail)
+        if not close(1, trail):
+            return
     yield from dfs()
 
 
 @lru_cache(maxsize=None)
 def _all_tables(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(sorted(_closure_tables(order)))
+
+
+def _smallest_prime_factor(n: int) -> int:
+    return next(d for d in range(2, n + 1) if n % d == 0)
+
+
+def _forced_row1(n: int) -> tuple[int, ...]:
+    """Row 1 of the lexicographically smallest table of any group of order
+    n > 1, and of the smallest circ table of any brace of order n.
+
+    Row 1 is the left translation by element 1, whose cycles all have the
+    order of that element. With p the smallest prime dividing n, an element
+    of order p exists and none has a smaller order > 1, so the smallest
+    possible row 1 is the one with cycles (0 1 .. p-1)(p .. 2p-1)...
+    """
+    p = _smallest_prime_factor(n)
+    return tuple(a + 1 if (a + 1) % p else a + 1 - p for a in range(n))
 
 
 def all_group_tables(order: int) -> list[GroupTable]:
@@ -187,7 +221,11 @@ def _class_representatives(
 
 @lru_cache(maxsize=None)
 def _group_reps(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    return tuple(_class_representatives(_all_tables(order)))
+    # Every class minimum has the forced row 1, so only the tables with that
+    # row are partitioned. Positional arguments only: wrappers that time
+    # _closure_tables may not forward keywords.
+    row1 = _forced_row1(order) if order > 1 else None
+    return tuple(_class_representatives(list(_closure_tables(order, row1))))
 
 
 def enumerate_groups(order: int) -> list[GroupTable]:
@@ -350,8 +388,30 @@ def _relabel(rows: Sequence[Sequence[int]], p: Sequence[int], q: Sequence[int]) 
     return tuple(tuple(p[rows[q[a]][q[b]]] for b in range(n)) for a in range(n))
 
 
-def canonical_brace(brace: SkewBrace) -> SkewBrace:
-    """The lexicographically smallest (circ, dot) relabeling fixing 0."""
+def _relabels_below(
+    tables: Sequence[Sequence[Sequence[int]]],
+    p: Sequence[int],
+    q: Sequence[int],
+    best: Sequence[Sequence[Sequence[int]]],
+) -> bool:
+    """True iff relabeling tables by p (inverse q) makes their concatenation
+    lexicographically smaller than best.
+
+    Rows are built one at a time and the comparison stops at the first row
+    that differs, so a losing relabeling usually costs a row or two.
+    """
+    n = len(p)
+    for rows, best_rows in zip(tables, best):
+        for a in range(n):
+            src = rows[q[a]]
+            row = tuple(p[src[q[b]]] for b in range(n))
+            if row != best_rows[a]:
+                return row < best_rows[a]
+    return False
+
+
+def _canonical_brace_brute_force(brace: SkewBrace) -> SkewBrace:
+    """canonical_brace by trying all (n-1)! relabelings; the test oracle."""
     n = brace.n
     dot = brace.dot.table
     circ = brace.circ.table
@@ -367,6 +427,69 @@ def canonical_brace(brace: SkewBrace) -> SkewBrace:
         cand = (cand_circ, _relabel(dot, p, q))
         if best is None or cand < best:
             best = cand
+    assert best is not None
+    return SkewBrace(GroupTable(n, best[1]), GroupTable(n, best[0]))
+
+
+def canonical_brace(brace: SkewBrace) -> SkewBrace:
+    """The lexicographically smallest (circ, dot) relabeling fixing 0.
+
+    The winning circ table has the forced row 1 (see _forced_row1), so only
+    labelings of that shape are searched: with m the smallest prime dividing
+    n, a circ element g of order m gets label 1 and g^j o h_i gets label
+    i*m + j, where h_0 = 0 and each h_i lies outside the cosets <g> o h_k
+    labeled before it. A partial labeling is dropped as soon as the labeled
+    prefix of circ row 2 exceeds the best table so far.
+    """
+    n = brace.n
+    if n == 1:
+        return brace
+    circ = brace.circ.table
+    tables = (circ, brace.dot.table)
+    m = _smallest_prime_factor(n)
+    best: tuple | None = None
+    p: list[int | None] = [None] * n
+    q = [0] * n
+
+    def worse_prefix(labeled: int) -> bool:
+        # Row 2's cells in columns 0..labeled-1 are known once their product
+        # is labeled; an unlabeled product gets a label >= labeled.
+        if best is None or labeled <= 2:
+            return False
+        best_row = best[0][2]
+        src = circ[q[2]]
+        for b in range(labeled):
+            v = p[src[q[b]]]
+            if v is None:
+                return best_row[b] < labeled
+            if v != best_row[b]:
+                return v > best_row[b]
+        return False
+
+    def extend(labeled: int, g_row: Sequence[int]) -> None:
+        nonlocal best
+        if labeled == n:
+            if best is None or _relabels_below(tables, p, q, best):  # type: ignore
+                best = tuple(_relabel(rows, p, q) for rows in tables)  # type: ignore
+            return
+        if worse_prefix(labeled):
+            return
+        for h in range(n) if labeled else (0,):
+            if p[h] is not None:
+                continue
+            x = h
+            for j in range(labeled, labeled + m):
+                p[x] = j
+                q[j] = x
+                x = g_row[x]
+            extend(labeled + m, g_row)
+            for j in range(labeled, labeled + m):
+                p[q[j]] = None
+
+    orders = _element_orders(circ)
+    for g in range(1, n):
+        if orders[g] == m:
+            extend(0, circ[g])
     assert best is not None
     return SkewBrace(GroupTable(n, best[1]), GroupTable(n, best[0]))
 
@@ -389,9 +512,11 @@ def _dedup_by_aut_orbit(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
             inverses.append(tuple(q))
         seen: dict[tuple, SkewBrace] = {}
         for brace in members:
-            key = min(
-                _relabel(brace.circ.table, p, q) for p, q in zip(auts, inverses)
-            )
+            circ = brace.circ.table
+            key = circ
+            for p, q in zip(auts, inverses):
+                if _relabels_below((circ,), p, q, (key,)):
+                    key = _relabel(circ, p, q)
             if key not in seen:
                 seen[key] = brace
         reps.extend(seen.values())

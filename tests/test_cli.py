@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, reports, witnesses, and output determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -221,3 +222,43 @@ def test_enumerate_summary_counts(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["count_raw"] == 6
     assert payload["count_up_to_iso"] == 4
+
+
+#: sha256 of `enumerate --order N --up-to-iso` output, pinned when canonical
+#: forms were still found by trying all (n-1)! relabelings.
+UP_TO_ISO_SHA256 = {
+    1: "3ac74409478772b458ec9b17cf8b5aac023fb8e4efd30d9c5146f40083fe561f",
+    2: "f432dcfb647a257c3423d1b2c66cb166ad44e3098238d093fda3711216f32f7f",
+    3: "7012e2f590eaae639c9636cf41d1395cae609fccf0573ea6f2744775124feea9",
+    4: "b3e6ddde774edc14d6a08209f5be680b15b8db25edfdd3f4320304d46755d0a4",
+    5: "62190175e0b3219e5ca4c64cdfbe961239c25ce4871200fe44191ecd8aaf8395",
+    6: "0129a6e7ec88aaf8591a9c6de15016b8256ebade6fd93096d7abf90423635b07",
+    7: "c9d492eb67863acbf98ebcad839ebb2da982bc4565c42a5b7b4e04feff7a469c",
+    8: "d9e06bc98e935830c3b56e2ed908b0fd1aef015cff2633f1cd9fe5db2107ab7b",
+}
+
+
+@pytest.mark.parametrize("order", sorted(UP_TO_ISO_SHA256))
+def test_enumerate_up_to_iso_bytes_pinned(order, tmp_path):
+    out = tmp_path / "cat.json"
+    argv = ["enumerate", "--order", str(order), "--up-to-iso", "--output", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == UP_TO_ISO_SHA256[order]
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 2, "dot": None, "circ": [[0, 1], [1, 0]]}, '"dot" must be an array'),
+        ({"n": 2, "dot": [[0, 1], [1, 0]], "circ": 5}, '"circ" must be an array'),
+        ({"n": 2, "dot": [None, None], "circ": [[0, 1], [1, 0]]}, '"dot" must be'),
+        ({"n": 2, "dot": [[0, 1], [1, 0]], "circ": ["01", "10"]}, '"circ" must be'),
+        ({"n": True, "dot": [[0]], "circ": [[0]]}, '"n" must be an integer'),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "check-ybe"])
+def test_malformed_brace_json_exits_2(command, payload, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, str(path)]) == 2
+    assert message in capsys.readouterr().err

@@ -261,6 +261,10 @@ def test_json_parser_rejections():
         parse_group_json('{"n": 2}')
     with pytest.raises(sb.GroupTableError):
         parse_group_json('{"n": "2", "table": [[0, 1], [1, 0]]}')
+    with pytest.raises(sb.GroupTableError, match='"n" must be an integer'):
+        parse_group_json('{"n": true, "table": [[0]]}')
+    with pytest.raises(sb.GroupTableError, match="array of arrays"):
+        parse_group_json('{"n": 2, "table": [null, null]}')
     with pytest.raises(sb.NotAssociativeError):
         parse_group_json(
             '{"n": 5, "table": %s}' % [[int(v) for v in row] for row in NONASSOC_5]

@@ -6,6 +6,11 @@ import pytest
 
 import skewbrace as sb
 from skewbrace.search import (
+    _all_tables,
+    _canonical_brace_brute_force,
+    _class_representatives,
+    _forced_row1,
+    _group_reps,
     _naive_tables,
     brace_sort_key,
     deduplicate_catalog,
@@ -210,6 +215,62 @@ def test_canonical_brace_idempotent_and_isomorphic(raw_catalogs):
         assert sb.brace_isomorphic(canon, brace)
         assert sb.canonical_brace(canon) == canon
         assert brace_sort_key(canon) <= brace_sort_key(brace)
+
+
+def _relabeled(brace, rng):
+    """brace transported by a random bijection fixing 0."""
+    n = brace.n
+    tail = list(range(1, n))
+    rng.shuffle(tail)
+    p = [0] + tail
+
+    def move(table):
+        rows = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                rows[p[a]][p[b]] = p[table[a][b]]
+        return sb.GroupTable(n, tuple(tuple(row) for row in rows))
+
+    return sb.SkewBrace(move(brace.dot.table), move(brace.circ.table))
+
+
+def test_canonical_brace_matches_brute_force_up_to_order7(raw_catalogs):
+    rng = random.Random(7)
+    braces = [b for c in raw_catalogs.values() for b in c.braces]
+    braces += sb.enumerate_braces(7).braces
+    for brace in braces:
+        expected = _canonical_brace_brute_force(brace)
+        assert sb.canonical_brace(brace) == expected
+        for _ in range(3):
+            assert sb.canonical_brace(_relabeled(brace, rng)) == expected
+
+
+def test_canonical_brace_matches_brute_force_order8_sample(raw_catalog_8):
+    rng = random.Random(8)
+    by_dot = {}
+    for brace in raw_catalog_8.braces:
+        by_dot.setdefault(brace.dot.table, []).append(brace)
+    assert len(by_dot) == 5
+    for members in by_dot.values():
+        for brace in rng.sample(members, min(2, len(members))):
+            expected = _canonical_brace_brute_force(brace)
+            assert sb.canonical_brace(brace) == expected
+            for _ in range(3):
+                assert sb.canonical_brace(_relabeled(brace, rng)) == expected
+
+
+def test_forced_row1_shape():
+    assert _forced_row1(2) == (1, 0)
+    assert _forced_row1(7) == (1, 2, 3, 4, 5, 6, 0)
+    assert _forced_row1(8) == (1, 0, 3, 2, 5, 4, 7, 6)
+    assert _forced_row1(9) == (1, 2, 0, 4, 5, 3, 7, 8, 6)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_seeded_group_reps_match_all_tables(n):
+    assert _group_reps(n) == tuple(_class_representatives(_all_tables(n)))
+    if n > 1:
+        assert all(rows[1] == _forced_row1(n) for rows in _group_reps(n))
 
 
 def test_enumerate_braces_jobs_deterministic(raw_catalogs):
