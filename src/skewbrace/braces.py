@@ -22,7 +22,6 @@ identity's variables read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator
 
 import json
@@ -36,10 +35,6 @@ class BraceError(ValueError):
 
 class CarrierMismatchError(BraceError):
     """The two tables live on carriers of different sizes."""
-
-
-class IdentityMismatchError(BraceError):
-    """A table's identity element is not 0 (unreachable for validated tables)."""
 
 
 class NotABraceError(BraceError):
@@ -65,11 +60,6 @@ class CheckResult:
 def _require_compatible_carriers(dot: GroupTable, circ: GroupTable) -> None:
     if dot.n != circ.n:
         raise CarrierMismatchError(f"carrier sizes differ: {dot.n} vs {circ.n}")
-    for name, g in (("dot", dot), ("circ", circ)):
-        if tuple(g.table[0]) != tuple(range(g.n)) or any(
-            g.table[a][0] != a for a in range(g.n)
-        ):
-            raise IdentityMismatchError(f"{name} table's identity is not 0")
 
 
 def compatibility_violations(dot: GroupTable, circ: GroupTable) -> Iterator[tuple[int, int, int]]:
@@ -104,9 +94,9 @@ def _first(violations: Iterator[tuple[int, ...]]) -> CheckResult:
 class SkewBrace:
     """A validated skew left brace.
 
-    Construction checks that both tables share the carrier and identity and
-    that compatibility holds for all triples, so any SkewBrace in existence
-    satisfies the brace axioms.
+    Construction checks that both tables share the carrier (every GroupTable
+    has identity 0) and that compatibility holds for all triples, so any
+    SkewBrace in existence satisfies the brace axioms.
     """
 
     dot: GroupTable
@@ -122,12 +112,6 @@ class SkewBrace:
         return self.dot.n
 
 
-def make_brace(dot: GroupTable, circ: GroupTable) -> SkewBrace:
-    """Build a SkewBrace, raising NotABraceError with the first witness
-    triple if compatibility fails."""
-    return SkewBrace(dot, circ)
-
-
 def trivial_brace(group: GroupTable) -> SkewBrace:
     """The brace with circ = dot."""
     return SkewBrace(group, group)
@@ -140,24 +124,30 @@ def opposite_brace(group: GroupTable) -> SkewBrace:
     return SkewBrace(group, GroupTable(n, transposed))
 
 
+def _sigma_tables(dot: GroupTable, circ: GroupTable, x: int, y: int) -> int:
+    return dot.table[dot.inv[x]][circ.table[x][y]]
+
+
+def _tau_tables(dot: GroupTable, circ: GroupTable, y: int, x: int) -> int:
+    s = _sigma_tables(dot, circ, x, y)
+    c = circ.table
+    return c[c[circ.inv[s]][x]][y]
+
+
 def sigma(brace: SkewBrace, x: int, y: int) -> int:
     """sigma_x(y) = x^-1 . (x o y)."""
-    dot = brace.dot
-    dot._check_element(x)
-    dot._check_element(y)
-    return dot.table[dot.inv[x]][brace.circ.table[x][y]]
+    brace.dot._check_element(x)
+    brace.dot._check_element(y)
+    return _sigma_tables(brace.dot, brace.circ, x, y)
 
 
 def tau(brace: SkewBrace, y: int, x: int) -> int:
     """tau_y(x) = circ_inverse(sigma_x(y)) o x o y, products left to right."""
-    circ = brace.circ
-    circ._check_element(x)
-    circ._check_element(y)
-    s = sigma(brace, x, y)
-    return circ.table[circ.table[circ.inv[s]][x]][y]
+    brace.circ._check_element(x)
+    brace.circ._check_element(y)
+    return _tau_tables(brace.dot, brace.circ, y, x)
 
 
-@lru_cache(maxsize=None)
 def sigma_perm(brace: SkewBrace, x: int) -> PermMap:
     """The full permutation y -> sigma_x(y); bijectivity is asserted."""
     image = tuple(sigma(brace, x, y) for y in range(brace.n))
@@ -167,7 +157,6 @@ def sigma_perm(brace: SkewBrace, x: int) -> PermMap:
         raise AssertionError(f"sigma_{x} is not a bijection: {image!r}") from None
 
 
-@lru_cache(maxsize=None)
 def tau_perm(brace: SkewBrace, y: int) -> PermMap:
     """The full permutation x -> tau_y(x); bijectivity is asserted."""
     image = tuple(tau(brace, y, x) for x in range(brace.n))
@@ -182,16 +171,6 @@ def tau_perm(brace: SkewBrace, y: int) -> PermMap:
 # All checks below are defined on a raw (dot, circ) pair of validated group
 # tables, not on SkewBrace, so the CLI can report which identities fail on a
 # pair that is not a brace at all.
-
-
-def _sigma_tables(dot: GroupTable, circ: GroupTable, x: int, y: int) -> int:
-    return dot.table[dot.inv[x]][circ.table[x][y]]
-
-
-def _tau_tables(dot: GroupTable, circ: GroupTable, y: int, x: int) -> int:
-    s = _sigma_tables(dot, circ, x, y)
-    c = circ.table
-    return c[c[circ.inv[s]][x]][y]
 
 
 def inverse_product_violations(dot: GroupTable, circ: GroupTable) -> Iterator[tuple[int, int]]:
@@ -274,31 +253,6 @@ def sigma_automorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator
                     yield (x, y, z)
 
 
-def check_inverse_product(brace: SkewBrace) -> CheckResult:
-    """Exhaustive a^-1 . (a o b^-1) . a^-1 = (a o b)^-1 over all pairs."""
-    return _first(inverse_product_violations(brace.dot, brace.circ))
-
-
-def check_sigma_homomorphism(brace: SkewBrace) -> CheckResult:
-    """Exhaustive sigma_{x o y} = sigma_x sigma_y over all triples."""
-    return _first(sigma_homomorphism_violations(brace.dot, brace.circ))
-
-
-def check_tau_antihomomorphism(brace: SkewBrace) -> CheckResult:
-    """Exhaustive tau_{y o z} = tau_z tau_y over all triples."""
-    return _first(tau_antihomomorphism_violations(brace.dot, brace.circ))
-
-
-def check_sigma_twisted_product(brace: SkewBrace) -> CheckResult:
-    """Exhaustive sigma_x(y o z) = sigma_x(y) o sigma_{tau_y(x)}(z)."""
-    return _first(sigma_twisted_product_violations(brace.dot, brace.circ))
-
-
-def check_sigma_automorphism(brace: SkewBrace) -> CheckResult:
-    """Exhaustive check that each sigma_x preserves the dot product."""
-    return _first(sigma_automorphism_violations(brace.dot, brace.circ))
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     name: str
@@ -364,8 +318,9 @@ def check_compatibility_equivalence(dot: GroupTable, circ: GroupTable) -> Equiva
 # so a caller can run the identity suite on a pair that is not a brace.
 
 
-def parse_brace_tables_json(text: str) -> tuple[GroupTable, GroupTable]:
-    obj = _load_table_fields(text, ("dot", "circ"), BraceError)
+def parse_brace_tables_json(source: str | dict) -> tuple[GroupTable, GroupTable]:
+    """Parse brace JSON, given as text or as the object decoded from it."""
+    obj = _load_table_fields(source, ("dot", "circ"), BraceError)
     return validate_table(obj["n"], obj["dot"]), validate_table(obj["n"], obj["circ"])
 
 

@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 on a mathematical failure (an identity or the
 Yang-Baxter equation fails, with witnesses reported), 2 on input or parse
-errors. All file output is byte-identical across runs and across --jobs
-settings; timing goes to stderr only.
+errors. All file output is byte-identical across runs; timing goes to
+stderr only.
 """
 
 from __future__ import annotations
@@ -58,23 +58,20 @@ def _load_brace_tables(path: str) -> tuple[GroupTable, GroupTable]:
 
 
 def _load_brace(path: str) -> SkewBrace:
-    dot, circ = _load_brace_tables(path)
-    return SkewBrace(dot, circ)
+    return SkewBrace(*_load_brace_tables(path))
 
 
 def _load_rmap(path: str) -> YbeMap:
     """Accept an R-map JSON file or a brace file (R is then built from it)."""
     text = _read(path)
-    if text.lstrip().startswith("{"):
-        obj = json.loads(text)
-        if isinstance(obj, dict) and "r" in obj:
-            return parse_rmap_json(text)
-        if isinstance(obj, dict) and "dot" in obj:
-            dot, circ = parse_brace_tables_json(text)
-            return build_r(SkewBrace(dot, circ))
-        raise ValueError('expected JSON with an "r" field or "dot"/"circ" fields')
-    dot, circ = parse_brace_tables_text(text)
-    return build_r(SkewBrace(dot, circ))
+    if not text.lstrip().startswith("{"):
+        return build_r(SkewBrace(*parse_brace_tables_text(text)))
+    obj = json.loads(text)
+    if isinstance(obj, dict) and "r" in obj:
+        return parse_rmap_json(obj)
+    if isinstance(obj, dict) and "dot" in obj:
+        return build_r(SkewBrace(*parse_brace_tables_json(obj)))
+    raise ValueError('expected JSON with an "r" field or "dot"/"circ" fields')
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -146,7 +143,7 @@ def cmd_rmap(args: argparse.Namespace) -> int:
 
 def cmd_check_ybe(args: argparse.Namespace) -> int:
     rmap = _load_rmap(args.input_file)
-    result = check_ybe(rmap, jobs=args.jobs)
+    result = check_ybe(rmap)
     if result.ok:
         print("yang-baxter: PASS")
         print(f"nondegenerate: {'yes' if check_nondegenerate(rmap) else 'no'}")
@@ -166,7 +163,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raw = oracle_enumerate(args.order, up_to_iso=False)
         iso = deduplicate_catalog(raw, pairwise=True)
     else:
-        raw = enumerate_braces(args.order, up_to_iso=False, jobs=args.jobs)
+        raw = enumerate_braces(args.order, up_to_iso=False)
         iso = deduplicate_catalog(raw)
     chosen = iso if args.up_to_iso else raw
     text = catalog_to_json(
@@ -216,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check-ybe", help="check the Yang-Baxter equation on an R-map or brace file"
     )
     p.add_argument("input_file")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--all-witnesses", action="store_true")
     p.set_defaults(func=cmd_check_ybe)
 
@@ -228,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the naive cross-validation enumerator (order <= 5)",
     )
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_enumerate)
 

@@ -68,7 +68,7 @@ class PermMap:
     image: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        image = tuple(int(v) for v in self.image)
+        image = tuple(self.image)
         object.__setattr__(self, "image", image)
         if len(image) != self.n or sorted(image) != list(range(self.n)):
             raise ValueError(f"not a bijection on 0..{self.n - 1}: {image!r}")
@@ -108,7 +108,7 @@ class GroupTable:
         n = self.n
         if n < 1:
             raise GroupTableError(f"carrier size must be positive, got {n}")
-        rows = tuple(tuple(int(v) for v in row) for row in self.table)
+        rows = tuple(tuple(row) for row in self.table)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise GroupTableError(f"table must be {n}x{n}")
         object.__setattr__(self, "table", rows)
@@ -130,14 +130,9 @@ class GroupTable:
         for b in range(n):
             if {rows[a][b] for a in range(n)} != carrier:
                 raise NotLatinError("column", b)
-        for a in range(n):
-            ra = rows[a]
-            for b in range(n):
-                left = rows[ra[b]]
-                rb = rows[b]
-                for c in range(n):
-                    if left[c] != ra[rb[c]]:
-                        raise NotAssociativeError((a, b, c))
+        triple = _associativity_witness(rows)
+        if triple is not None:
+            raise NotAssociativeError(triple)
         inverses = tuple(rows[a].index(0) for a in range(n))
         object.__setattr__(self, "inv", inverses)
 
@@ -159,6 +154,20 @@ class GroupTable:
         t = self.table
         n = self.n
         return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
+
+
+def _associativity_witness(rows: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """The lexicographically first (a, b, c) with (ab)c != a(bc), or None."""
+    n = len(rows)
+    for a in range(n):
+        ra = rows[a]
+        for b in range(n):
+            left = rows[ra[b]]
+            rb = rows[b]
+            for c in range(n):
+                if left[c] != ra[rb[c]]:
+                    return (a, b, c)
+    return None
 
 
 def validate_table(n: int, raw: Sequence[Sequence[int]]) -> GroupTable:
@@ -334,29 +343,42 @@ def group_to_text(group: GroupTable) -> str:
 
 
 def _load_table_fields(
-    text: str, fields: tuple[str, ...], error: type[ValueError]
+    source: str | dict, fields: tuple[str, ...], error: type[ValueError], pairs: bool = False
 ) -> dict:
     """Parse a JSON object with an integer "n" and the named table fields,
-    each an array of arrays; raise `error` on anything else.
+    each an array of arrays of integers (of [first, second] integer pairs,
+    with pairs set); raise `error` on anything else.
 
-    A JSON boolean is not an integer here, although Python's bool is one.
+    `source` is the JSON text or the object already decoded from it. Only
+    JSON integers count: no floats, and no booleans, although Python's bool
+    is an int.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise error(f"invalid JSON: {exc}") from None
+    obj = source
+    if isinstance(source, str):
+        try:
+            obj = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise error(f"invalid JSON: {exc}") from None
     names = [f'"{name}"' for name in ("n", *fields)]
     if not isinstance(obj, dict) or not {"n", *fields} <= set(obj):
         raise error(
             f"expected an object with fields {', '.join(names[:-1])} and {names[-1]}"
         )
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
+    if type(n) is not int:
         raise error(f'"n" must be an integer, got {n!r}')
     for name in fields:
         rows = obj[name]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise error(f'"{name}" must be an array of arrays')
+        cells = [v for row in rows for v in row]
+        if pairs:
+            if not set(map(type, cells)) <= {list} or not set(map(len, cells)) <= {2}:
+                raise error(f'"{name}" entries must be [first, second] pairs')
+            cells = [v for p in cells for v in p]
+        if not set(map(type, cells)) <= {int}:
+            bad = next(v for v in cells if type(v) is not int)
+            raise error(f'"{name}" entries must be integers, got {bad!r}')
     return obj
 
 

@@ -29,7 +29,6 @@ representatives h_i. The (n-1)! brute force is kept as the test oracle.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -37,7 +36,13 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from .braces import CarrierMismatchError, SkewBrace, check_compatibility
-from .groups import GroupTable, _element_orders, _table_isomorphisms, automorphisms
+from .groups import (
+    GroupTable,
+    _associativity_witness,
+    _element_orders,
+    _table_isomorphisms,
+    automorphisms,
+)
 
 #: Largest order the production enumerators accept.
 MAX_ORDER = 8
@@ -275,23 +280,12 @@ def _naive_latin_squares(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     yield from fill(0)
 
 
-def _is_associative(rows: Sequence[Sequence[int]]) -> bool:
-    n = len(rows)
-    for a in range(n):
-        ra = rows[a]
-        for b in range(n):
-            left = rows[ra[b]]
-            rb = rows[b]
-            for c in range(n):
-                if left[c] != ra[rb[c]]:
-                    return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _naive_tables(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(
-        rows for rows in sorted(_naive_latin_squares(order)) if _is_associative(rows)
+        rows
+        for rows in sorted(_naive_latin_squares(order))
+        if _associativity_witness(rows) is None
     )
 
 
@@ -547,23 +541,19 @@ def deduplicate_catalog(catalog: BraceCatalog, pairwise: bool = False) -> BraceC
 # --- the two enumerators ------------------------------------------------------
 
 
-def enumerate_braces(order: int, up_to_iso: bool = False, jobs: int = 1) -> BraceCatalog:
+def enumerate_braces(order: int, up_to_iso: bool = False) -> BraceCatalog:
     """All skew braces of the given order via the automorphism-assignment
     search, as a canonical catalog.
 
     Raw catalogs range over the canonical dot representative of each group
     class; with up_to_iso, entries are canonical forms, one per brace
-    isomorphism class. jobs > 1 spreads the per-group searches over worker
-    processes; output is identical for any jobs value.
+    isomorphism class.
     """
     _check_order(order, MAX_ORDER)
-    groups = enumerate_groups(order)
-    if jobs > 1 and len(groups) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-            per_group = list(pool.map(enumerate_braces_on_group, groups))
-    else:
-        per_group = [enumerate_braces_on_group(g) for g in groups]
-    raw = sorted((b for braces in per_group for b in braces), key=brace_sort_key)
+    raw = sorted(
+        (b for g in enumerate_groups(order) for b in enumerate_braces_on_group(g)),
+        key=brace_sort_key,
+    )
     catalog = BraceCatalog(order, tuple(raw), False)
     if up_to_iso:
         catalog = deduplicate_catalog(catalog)

@@ -15,11 +15,11 @@ B^3 explicitly and composes them as lookup tables. They must always agree.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
 from .braces import CarrierMismatchError, CheckResult, SkewBrace, sigma, tau
+from .groups import _load_table_fields
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,13 @@ class YbeMap:
         n = self.n
         if n < 1:
             raise ValueError(f"carrier size must be positive, got {n}")
-        rows = []
-        for row in self.r:
-            rows.append(tuple((int(p[0]), int(p[1])) for p in row))
-        rows = tuple(rows)
+        rows = tuple(tuple(tuple(pair) for pair in row) for row in self.r)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"map table must be {n}x{n}")
         for row in rows:
-            for first, second in row:
-                if not (0 <= first < n and 0 <= second < n):
-                    raise ValueError(f"output pair ({first}, {second}) outside 0..{n - 1}")
+            for pair in row:
+                if len(pair) != 2 or not (0 <= pair[0] < n and 0 <= pair[1] < n):
+                    raise ValueError(f"output {pair} is not a pair in 0..{n - 1}")
         object.__setattr__(self, "r", rows)
 
 
@@ -85,36 +82,9 @@ def ybe_violations(rmap: YbeMap) -> Iterator[tuple[int, int, int]]:
                     yield (a, b, c)
 
 
-def _scan_chunk(args: tuple[YbeMap, int, int]) -> tuple[int, int, int] | None:
-    rmap, lo, hi = args
-    n = rmap.n
-    r = rmap.r
-    for a in range(lo, hi):
-        for b in range(n):
-            for c in range(n):
-                lhs, rhs = _sides_at(r, a, b, c)
-                if lhs != rhs:
-                    return (a, b, c)
-    return None
-
-
-def check_ybe(rmap: YbeMap, jobs: int = 1) -> CheckResult:
-    """Exhaustively evaluate both sides over all n^3 triples, stepwise.
-
-    With jobs > 1 the sweep is partitioned by the first coordinate; each
-    worker reports its first local witness and the smallest one wins, so the
-    result is identical to the serial scan.
-    """
-    if jobs <= 1 or rmap.n < 2:
-        witness = next(ybe_violations(rmap), None)
-        return CheckResult(witness is None, witness)
-    n = rmap.n
-    jobs = min(jobs, n)
-    bounds = [(n * i) // jobs for i in range(jobs + 1)]
-    chunks = [(rmap, bounds[i], bounds[i + 1]) for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        found = [w for w in pool.map(_scan_chunk, chunks) if w is not None]
-    witness = min(found) if found else None
+def check_ybe(rmap: YbeMap) -> CheckResult:
+    """Exhaustively evaluate both sides over all n^3 triples, stepwise."""
+    witness = next(ybe_violations(rmap), None)
     return CheckResult(witness is None, witness)
 
 
@@ -201,24 +171,10 @@ def rmap_to_json(rmap: YbeMap) -> str:
     )
 
 
-def parse_rmap_json(text: str) -> YbeMap:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict) or "n" not in obj or "r" not in obj:
-        raise ValueError('expected an object with fields "n" and "r"')
-    n = obj["n"]
-    if not isinstance(n, int):
-        raise ValueError(f'"n" must be an integer, got {n!r}')
-    rows = obj["r"]
-    if not isinstance(rows, list):
-        raise ValueError('"r" must be an array of arrays of pairs')
-    try:
-        table = tuple(tuple((pair[0], pair[1]) for pair in row) for row in rows)
-    except (TypeError, IndexError):
-        raise ValueError('"r" entries must be [first, second] pairs') from None
-    return YbeMap(n, table)
+def parse_rmap_json(source: str | dict) -> YbeMap:
+    """Parse R-map JSON, given as text or as the object decoded from it."""
+    obj = _load_table_fields(source, ("r",), ValueError, pairs=True)
+    return YbeMap(obj["n"], obj["r"])
 
 
 def rmap_to_csv(rmap: YbeMap) -> str:

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 import skewbrace as sb
+
+# Property tests draw the same examples on every run, with no time limit per
+# example and no example database left on disk.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")
@@ -21,7 +27,7 @@ def s3():
 @pytest.fixture(scope="session")
 def xor_brace(z4, v4):
     # dot = addition mod 4, circ = x + y + 2xy mod 4, which is the xor table
-    return sb.make_brace(z4, v4)
+    return sb.SkewBrace(z4, v4)
 
 
 @pytest.fixture(scope="session")

@@ -209,9 +209,9 @@ def test_criterion_8_negative_controls(z4):
         detail.append("hand evaluation at the witness does not disagree")
 
     try:
-        sb.make_brace(z4, circ)
+        sb.SkewBrace(z4, circ)
         ok = False
-        detail.append("make_brace accepted the violating pair")
+        detail.append("SkewBrace accepted the violating pair")
     except sb.NotABraceError as exc:
         if exc.witness != (2, 1, 1):
             ok = False

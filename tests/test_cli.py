@@ -165,10 +165,6 @@ def test_check_ybe_all_witnesses(tmp_path, capsys):
     assert capsys.readouterr().out.count("FAIL") > 1
 
 
-def test_check_ybe_jobs(xor_file):
-    assert main(["check-ybe", xor_file, "--jobs", "2"]) == 0
-
-
 def test_enumerate_order1(tmp_path, capsys):
     out = tmp_path / "cat.json"
     assert main(["enumerate", "--order", "1", "--output", str(out)]) == 0
@@ -194,19 +190,14 @@ def test_enumerate_oracle_matches_search(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_enumerate_byte_identical_across_runs_and_jobs(tmp_path):
+def test_enumerate_byte_identical_across_runs(tmp_path):
     outs = []
-    for i, jobs in enumerate(("1", "2", "1")):
+    for i in range(2):
         path = tmp_path / f"cat{i}.json"
-        assert (
-            main(
-                ["enumerate", "--order", "4", "--up-to-iso", "--jobs", jobs,
-                 "--output", str(path)]
-            )
-            == 0
-        )
+        argv = ["enumerate", "--order", "4", "--up-to-iso", "--output", str(path)]
+        assert main(argv) == 0
         outs.append(path.read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
 
 
 def test_enumerate_order_too_large():
@@ -254,11 +245,53 @@ def test_enumerate_up_to_iso_bytes_pinned(order, tmp_path):
         ({"n": 2, "dot": [None, None], "circ": [[0, 1], [1, 0]]}, '"dot" must be'),
         ({"n": 2, "dot": [[0, 1], [1, 0]], "circ": ["01", "10"]}, '"circ" must be'),
         ({"n": True, "dot": [[0]], "circ": [[0]]}, '"n" must be an integer'),
+        (
+            {"n": 2, "dot": [[0, 1], [1, 0]], "circ": [[0, 1], [1.7, 0]]},
+            '"circ" entries must be integers, got 1.7',
+        ),
+        (
+            {"n": 2, "dot": [[0, 1], [1.0, 0]], "circ": [[0, 1], [1, 0]]},
+            '"dot" entries must be integers, got 1.0',
+        ),
+        (
+            {"n": 2, "dot": [[0, 1], [1, 0]], "circ": [[0, True], [1, 0]]},
+            '"circ" entries must be integers, got True',
+        ),
     ],
 )
-@pytest.mark.parametrize("command", ["verify", "check-ybe"])
+@pytest.mark.parametrize("command", ["verify", "check-ybe", "maps"])
 def test_malformed_brace_json_exits_2(command, payload, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     assert main([command, str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+SWAP_2_R = [[[0, 0], [1, 0]], [[0, 1], [1, 1]]]
+
+
+@pytest.mark.parametrize(
+    "r, n, message",
+    [
+        (SWAP_2_R, True, '"n" must be an integer'),
+        ([[[0.9, 0], [1, 0]], [[0, 1], [1, 1]]], 2, '"r" entries must be integers, got 0.9'),
+        ([["10", [1, 0]], [[0, 1], [1, 1]]], 2, '"r" entries must be [first, second] pairs'),
+        ([[[0, 0, 1], [1, 0]], [[0, 1], [1, 1]]], 2, '"r" entries must be [first, second] pairs'),
+        ([[[0, True], [1, 0]], [[0, 1], [1, 1]]], 2, '"r" entries must be integers, got True'),
+    ],
+)
+def test_malformed_rmap_json_exits_2(r, n, message, tmp_path, capsys):
+    path = tmp_path / "bad_r.json"
+    path.write_text(json.dumps({"n": n, "r": r}))
+    assert main(["check-ybe", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["check-ybe", "F", "--jobs", "2"], ["enumerate", "--order", "4", "--jobs", "2"]]
+)
+def test_jobs_option_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err

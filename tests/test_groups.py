@@ -265,6 +265,8 @@ def test_json_parser_rejections():
         parse_group_json('{"n": true, "table": [[0]]}')
     with pytest.raises(sb.GroupTableError, match="array of arrays"):
         parse_group_json('{"n": 2, "table": [null, null]}')
+    with pytest.raises(sb.GroupTableError, match="must be integers, got 1.0"):
+        parse_group_json('{"n": 2, "table": [[0, 1], [1.0, 0]]}')
     with pytest.raises(sb.NotAssociativeError):
         parse_group_json(
             '{"n": 5, "table": %s}' % [[int(v) for v in row] for row in NONASSOC_5]

@@ -103,21 +103,6 @@ def test_evaluators_agree_on_random_maps():
             assert (step.ok, step.witness) == (mat.ok, mat.witness)
 
 
-def test_check_ybe_jobs_matches_serial(xor_brace):
-    good = sb.build_r(xor_brace)
-    assert sb.check_ybe(good, jobs=2) == sb.check_ybe(good)
-    bad = YbeMap(2, PERTURBED_SWAP_2)
-    assert sb.check_ybe(bad, jobs=2) == sb.check_ybe(bad)
-    # a map with failures in several first-coordinate blocks still reports
-    # the lexicographically first witness
-    rng = random.Random(7)
-    rows = tuple(
-        tuple((rng.randrange(4), rng.randrange(4)) for _ in range(4)) for _ in range(4)
-    )
-    noisy = YbeMap(4, rows)
-    assert sb.check_ybe(noisy, jobs=3) == sb.check_ybe(noisy)
-
-
 def test_nondegenerate():
     assert sb.check_nondegenerate(sb.swap_map(3))
     constant_first = YbeMap(2, (((0, 0), (0, 1)), ((0, 0), (0, 1))))
@@ -174,6 +159,8 @@ def test_ybemap_validation():
         YbeMap(2, (((0, 2), (0, 0)), ((0, 0), (0, 0))))
     with pytest.raises(ValueError):
         YbeMap(2, (((0, 0),),))
+    with pytest.raises(ValueError, match="not a pair"):
+        YbeMap(1, (((0, 0, 0),),))
 
 
 def test_rmap_json_round_trip(xor_brace):
