@@ -16,7 +16,9 @@ which feed the Yang-Baxter map R(a, b) = (sigma_a(b), tau_b(a)) in
 
 Every identity checked here is swept exhaustively; witnesses are the
 lexicographically first failing tuple, with components ordered as the
-identity's variables read.
+identity's variables read. The sweeps that involve sigma or tau read them
+from tables S[x][y] = sigma_x(y) and T[y][x] = tau_y(x), built once per
+sweep in O(n^2) time and memory.
 """
 
 from __future__ import annotations
@@ -124,28 +126,30 @@ def opposite_brace(group: GroupTable) -> SkewBrace:
     return SkewBrace(group, GroupTable(n, transposed))
 
 
-def _sigma_tables(dot: GroupTable, circ: GroupTable, x: int, y: int) -> int:
-    return dot.table[dot.inv[x]][circ.table[x][y]]
-
-
-def _tau_tables(dot: GroupTable, circ: GroupTable, y: int, x: int) -> int:
-    s = _sigma_tables(dot, circ, x, y)
-    c = circ.table
-    return c[c[circ.inv[s]][x]][y]
-
-
 def sigma(brace: SkewBrace, x: int, y: int) -> int:
     """sigma_x(y) = x^-1 . (x o y)."""
-    brace.dot._check_element(x)
-    brace.dot._check_element(y)
-    return _sigma_tables(brace.dot, brace.circ, x, y)
+    dot = brace.dot
+    dot._check_element(x)
+    dot._check_element(y)
+    return dot.table[dot.inv[x]][brace.circ.table[x][y]]
 
 
 def tau(brace: SkewBrace, y: int, x: int) -> int:
     """tau_y(x) = circ_inverse(sigma_x(y)) o x o y, products left to right."""
-    brace.circ._check_element(x)
-    brace.circ._check_element(y)
-    return _tau_tables(brace.dot, brace.circ, y, x)
+    circ = brace.circ
+    circ._check_element(x)
+    circ._check_element(y)
+    c = circ.table
+    return c[c[circ.inv[sigma(brace, x, y)]][x]][y]
+
+
+def _sigma_tau_tables(dot: GroupTable, circ: GroupTable) -> tuple[list[list[int]], list[list[int]]]:
+    """The tables S[x][y] = sigma_x(y) and T[y][x] = tau_y(x) of a pair."""
+    n = dot.n
+    d, dinv, c, cinv = dot.table, dot.inv, circ.table, circ.inv
+    S = [[d[dinv[x]][v] for v in c[x]] for x in range(n)]
+    T = [[c[c[cinv[S[x][y]]][x]][y] for x in range(n)] for y in range(n)]
+    return S, T
 
 
 def sigma_perm(brace: SkewBrace, x: int) -> PermMap:
@@ -190,13 +194,14 @@ def sigma_homomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator
     """Yield every (x, y, z) where sigma_{x o y}(z) != sigma_x(sigma_y(z))."""
     _require_compatible_carriers(dot, circ)
     n = dot.n
+    c = circ.table
+    S, _ = _sigma_tau_tables(dot, circ)
     for x in range(n):
+        sx, cx = S[x], c[x]
         for y in range(n):
-            xy = circ.table[x][y]
+            sxy, sy = S[cx[y]], S[y]
             for z in range(n):
-                if _sigma_tables(dot, circ, xy, z) != _sigma_tables(
-                    dot, circ, x, _sigma_tables(dot, circ, y, z)
-                ):
+                if sxy[z] != sx[sy[z]]:
                     yield (x, y, z)
 
 
@@ -204,12 +209,14 @@ def tau_antihomomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterat
     """Yield every (x, y, z) where tau_{y o z}(x) != tau_z(tau_y(x))."""
     _require_compatible_carriers(dot, circ)
     n = dot.n
+    c = circ.table
+    _, T = _sigma_tau_tables(dot, circ)
     for x in range(n):
+        tx = [T[w][x] for w in range(n)]
         for y in range(n):
+            cy, tyx = c[y], tx[y]
             for z in range(n):
-                if _tau_tables(dot, circ, circ.table[y][z], x) != _tau_tables(
-                    dot, circ, z, _tau_tables(dot, circ, y, x)
-                ):
+                if tx[cy[z]] != T[z][tyx]:
                     yield (x, y, z)
 
 
@@ -218,14 +225,13 @@ def sigma_twisted_product_violations(dot: GroupTable, circ: GroupTable) -> Itera
     _require_compatible_carriers(dot, circ)
     n = dot.n
     c = circ.table
+    S, T = _sigma_tau_tables(dot, circ)
     for x in range(n):
+        sx = S[x]
         for y in range(n):
-            sxy = _sigma_tables(dot, circ, x, y)
-            tyx = _tau_tables(dot, circ, y, x)
+            cy, csxy, st = c[y], c[sx[y]], S[T[y][x]]
             for z in range(n):
-                if _sigma_tables(dot, circ, x, c[y][z]) != c[sxy][
-                    _sigma_tables(dot, circ, tyx, z)
-                ]:
+                if sx[cy[z]] != csxy[st[z]]:
                     yield (x, y, z)
 
 
@@ -234,9 +240,11 @@ def product_preservation_violations(dot: GroupTable, circ: GroupTable) -> Iterat
     _require_compatible_carriers(dot, circ)
     n = dot.n
     c = circ.table
+    S, T = _sigma_tau_tables(dot, circ)
     for x in range(n):
+        sx, cx = S[x], c[x]
         for y in range(n):
-            if c[_sigma_tables(dot, circ, x, y)][_tau_tables(dot, circ, y, x)] != c[x][y]:
+            if c[sx[y]][T[y][x]] != cx[y]:
                 yield (x, y)
 
 
@@ -245,11 +253,13 @@ def sigma_automorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator
     _require_compatible_carriers(dot, circ)
     n = dot.n
     d = dot.table
+    S, _ = _sigma_tau_tables(dot, circ)
     for x in range(n):
-        sx = [_sigma_tables(dot, circ, x, y) for y in range(n)]
+        sx = S[x]
         for y in range(n):
+            dy, dsy = d[y], d[sx[y]]
             for z in range(n):
-                if sx[d[y][z]] != d[sx[y]][sx[z]]:
+                if sx[dy[z]] != dsy[sx[z]]:
                     yield (x, y, z)
 
 

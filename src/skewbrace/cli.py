@@ -12,8 +12,9 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .braces import (
     IDENTITY_SUITE,
@@ -38,7 +39,6 @@ from .ybe import (
     build_r,
     check_bijective,
     check_nondegenerate,
-    check_ybe,
     parse_rmap_json,
     rmap_to_csv,
     rmap_to_json,
@@ -81,6 +81,22 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
+#: --all-witnesses output is written in blocks of this many lines: one write
+#: per block rather than per line, and small enough (about 60 kB) that peak
+#: memory does not grow with the number of witnesses.
+WITNESS_BLOCK_LINES = 1024
+
+
+def _print_witnesses(name: str, first: tuple[int, ...], rest: Iterable[tuple[int, ...]]) -> None:
+    """Print "<name>: FAIL witness=<tuple>" for `first` and then for every
+    witness in `rest`, writing blocks of WITNESS_BLOCK_LINES lines."""
+    line = f"{name}: FAIL witness=({', '.join(['%d'] * len(first))})\n"
+    witnesses = chain((first,), rest)
+    write = sys.stdout.write
+    while block := [line % w for w in islice(witnesses, WITNESS_BLOCK_LINES)]:
+        write("".join(block))
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     dot, circ = _load_brace_tables(args.brace_file)
     code = 0
@@ -91,10 +107,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"{name}: PASS")
         else:
             code = 1
-            print(f"{name}: FAIL witness={first}")
-            if args.all_witnesses:
-                for witness in witnesses:
-                    print(f"{name}: FAIL witness={witness}")
+            _print_witnesses(name, first, witnesses if args.all_witnesses else ())
     return code
 
 
@@ -143,17 +156,14 @@ def cmd_rmap(args: argparse.Namespace) -> int:
 
 def cmd_check_ybe(args: argparse.Namespace) -> int:
     rmap = _load_rmap(args.input_file)
-    result = check_ybe(rmap)
-    if result.ok:
+    witnesses = ybe_violations(rmap)
+    first = next(witnesses, None)
+    if first is None:
         print("yang-baxter: PASS")
         print(f"nondegenerate: {'yes' if check_nondegenerate(rmap) else 'no'}")
         print(f"bijective: {'yes' if check_bijective(rmap) else 'no'}")
         return 0
-    print(f"yang-baxter: FAIL witness={result.witness}")
-    if args.all_witnesses:
-        for witness in ybe_violations(rmap):
-            if witness != result.witness:
-                print(f"yang-baxter: FAIL witness={witness}")
+    _print_witnesses("yang-baxter", first, witnesses if args.all_witnesses else ())
     return 1
 
 

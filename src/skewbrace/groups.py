@@ -317,22 +317,28 @@ def automorphisms(group: GroupTable) -> list[PermMap]:
 # JSON format: {"n": <int>, "table": <n x n array>}.
 
 
+def _is_decimal(token: str) -> bool:
+    """True iff the token is ASCII digits only: no sign, "_" or other script."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_group_text(text: str) -> GroupTable:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise GroupTableError("empty table text")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise GroupTableError(f"first line must be the carrier size, got {lines[0]!r}") from None
+    if not _is_decimal(lines[0].strip()):
+        raise GroupTableError(f"first line must be the carrier size, got {lines[0]!r}")
+    n = int(lines[0])
     if len(lines) != n + 1:
         raise GroupTableError(f"expected {n} table rows, got {len(lines) - 1}")
     rows = []
     for line in lines[1:]:
-        try:
-            rows.append([int(tok) for tok in line.split()])
-        except ValueError:
-            raise GroupTableError(f"non-integer entry in row {line!r}") from None
+        tokens = line.split()
+        if not all(_is_decimal(tok) for tok in tokens):
+            raise GroupTableError(
+                f"entries must be non-negative decimal integers, got row {line!r}"
+            )
+        rows.append([int(tok) for tok in tokens])
     return validate_table(n, rows)
 
 

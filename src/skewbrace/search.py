@@ -490,8 +490,9 @@ def canonical_brace(brace: SkewBrace) -> SkewBrace:
 
 def _dedup_by_aut_orbit(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
     # Braces sharing a dot table are isomorphic exactly when their circ
-    # tables lie in one Aut(dot) orbit; braces on non-isomorphic dot
-    # representatives are never isomorphic.
+    # tables lie in one Aut(dot) orbit. Isomorphic braces on two different
+    # dot tables (a catalog not built on the class representatives) stay
+    # apart here until their canonical forms coincide below.
     by_dot: dict[tuple, list[SkewBrace]] = {}
     for brace in raw:
         by_dot.setdefault(brace.dot.table, []).append(brace)
@@ -514,7 +515,11 @@ def _dedup_by_aut_orbit(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
             if key not in seen:
                 seen[key] = brace
         reps.extend(seen.values())
-    return sorted((canonical_brace(b) for b in reps), key=brace_sort_key)
+    forms: dict[tuple[int, ...], SkewBrace] = {}
+    for brace in reps:
+        form = canonical_brace(brace)
+        forms[brace_sort_key(form)] = form
+    return [forms[key] for key in sorted(forms)]
 
 
 def _dedup_pairwise(raw: Sequence[SkewBrace]) -> list[SkewBrace]:

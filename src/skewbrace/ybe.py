@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator
 
-from .braces import CarrierMismatchError, CheckResult, SkewBrace, sigma, tau
+from .braces import CarrierMismatchError, CheckResult, SkewBrace, _sigma_tau_tables
 from .groups import _load_table_fields
 
 
@@ -46,11 +46,8 @@ class YbeMap:
 def build_r(brace: SkewBrace) -> YbeMap:
     """R(a, b) = (sigma_a(b), tau_b(a)) for all pairs."""
     n = brace.n
-    rows = tuple(
-        tuple((sigma(brace, a, b), tau(brace, b, a)) for b in range(n))
-        for a in range(n)
-    )
-    return YbeMap(n, rows)
+    S, T = _sigma_tau_tables(brace.dot, brace.circ)
+    return YbeMap(n, [[(S[a][b], T[b][a]) for b in range(n)] for a in range(n)])
 
 
 def swap_map(n: int) -> YbeMap:
@@ -58,27 +55,24 @@ def swap_map(n: int) -> YbeMap:
     return YbeMap(n, tuple(tuple((b, a) for b in range(n)) for a in range(n)))
 
 
-def _sides_at(r, a: int, b: int, c: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    # Left side: (R x id), then (id x R), then (R x id).
-    d, e = r[a][b]
-    f, g = r[e][c]
-    h, k = r[d][f]
-    # Right side: (id x R), then (R x id), then (id x R).
-    q, rr = r[b][c]
-    s, t = r[a][q]
-    v, w = r[t][rr]
-    return (h, k, g), (s, v, w)
-
-
 def ybe_violations(rmap: YbeMap) -> Iterator[tuple[int, int, int]]:
     """Yield every triple where the two sides of the equation differ."""
     n = rmap.n
     r = rmap.r
     for a in range(n):
+        ra = r[a]
         for b in range(n):
+            # Left side: (R x id), then (id x R), then (R x id), giving
+            # (h, k, g); right side: (id x R), then (R x id), then (id x R),
+            # giving (s, r[t][u]).
+            d, e = ra[b]
+            rb, rd, re = r[b], r[d], r[e]
             for c in range(n):
-                lhs, rhs = _sides_at(r, a, b, c)
-                if lhs != rhs:
+                f, g = re[c]
+                h, k = rd[f]
+                q, u = rb[c]
+                s, t = ra[q]
+                if h != s or r[t][u] != (k, g):
                     yield (a, b, c)
 
 

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 import skewbrace as sb
+from skewbrace import cli
 from skewbrace.braces import brace_to_json, brace_to_text
 from skewbrace.cli import main
 
@@ -267,6 +269,35 @@ def test_malformed_brace_json_exits_2(command, payload, message, tmp_path, capsy
     assert message in capsys.readouterr().err
 
 
+def _write(tmp_path, text):
+    path = tmp_path / "brace.txt"
+    path.write_text(text)
+    return str(path)
+
+
+XOR_BRACE_TEXT = "4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n\n4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("3 2 1 0\n", "3 2 1 +0\n", "entries must be non-negative decimal integers"),
+        ("3 2 1 0\n", "3 2 1 0_0\n", "entries must be non-negative decimal integers"),
+        ("0 1 2 3\n1 2", "0 1 2 \u0663\n1 2", "entries must be non-negative decimal integers"),
+        ("4\n0 1 2 3\n1 2", "+4\n0 1 2 3\n1 2", "first line must be the carrier size"),
+        ("4\n0 1 2 3\n1 0", "0_4\n0 1 2 3\n1 0", "first line must be the carrier size"),
+    ],
+    ids=["cell +0", "cell 0_0", "cell arabic-indic 3", "size +4", "size 0_4"],
+)
+def test_malformed_brace_text_exits_2(old, new, message, tmp_path, capsys):
+    assert main(["verify", _write(tmp_path, XOR_BRACE_TEXT)]) == 0
+    capsys.readouterr()
+    assert XOR_BRACE_TEXT.count(old) == 1
+    path = _write(tmp_path, XOR_BRACE_TEXT.replace(old, new))
+    assert main(["verify", path]) == 2
+    assert message in capsys.readouterr().err
+
+
 SWAP_2_R = [[[0, 0], [1, 0]], [[0, 1], [1, 1]]]
 
 
@@ -295,3 +326,90 @@ def test_jobs_option_is_a_usage_error(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def _product_table(t1, t2):
+    """Cayley table of the direct product; (a1, a2) is element a1 * n2 + a2."""
+    n2 = len(t2)
+    n = len(t1) * n2
+    return [
+        [t1[a // n2][b // n2] * n2 + t2[a % n2][b % n2] for b in range(n)]
+        for a in range(n)
+    ]
+
+
+def _witness_inputs(tmp_path):
+    """A seeded order-16 pair of group tables that is not a brace, and the
+    R-map of an order-16 brace with 16 seeded entries changed."""
+    rng = random.Random(16)
+    z4, v4 = sb.cyclic_group(4).table, sb.klein_four_group().table
+    other = _product_table(v4, v4)
+    p = [0] + rng.sample(range(1, 16), 15)
+    q = [p.index(i) for i in range(16)]
+    circ = [[p[other[q[a]][q[b]]] for b in range(16)] for a in range(16)]
+    pair = tmp_path / "pair16.json"
+    pair.write_text(json.dumps({"n": 16, "dot": _product_table(z4, z4), "circ": circ}))
+
+    brace = sb.SkewBrace(
+        sb.GroupTable(16, _product_table(z4, z4)), sb.GroupTable(16, _product_table(v4, v4))
+    )
+    rows = [list(row) for row in sb.build_r(brace).r]
+    for cell in rng.sample(range(256), 16):
+        a, b = divmod(cell, 16)
+        new = rows[a][b]
+        while new == rows[a][b]:
+            new = (rng.randrange(16), rng.randrange(16))
+        rows[a][b] = new
+    rmap = tmp_path / "rmap16.json"
+    rmap.write_text(sb.rmap_to_json(sb.YbeMap(16, rows)))
+    return {"verify": str(pair), "check-ybe": str(rmap)}
+
+
+#: (sha256, line count) of stdout for `verify` and `check-ybe` with
+#: --all-witnesses on the inputs above, pinned when every witness was
+#: printed with its own print call.
+ALL_WITNESSES_PINS = {
+    "verify": ("f870aa7846cf06986551c08e4be0ddb43e2a33f16e7d53afb0784b2705d8c849", 15938),
+    "check-ybe": ("3f6bdb96280faff37d3460918c5e1fec8058e1391cbfac9584efe0a3724af8d8", 878),
+}
+
+#: stdout of the same commands without --all-witnesses.
+FIRST_WITNESS_OUTPUT = {
+    "verify": (
+        "compatibility: FAIL witness=(1, 1, 1)\n"
+        "inverse product (Lemma 1): FAIL witness=(1, 1)\n"
+        "sigma homomorphism (Proposition 1): FAIL witness=(1, 1, 1)\n"
+        "tau anti-homomorphism (Proposition 2): FAIL witness=(1, 1, 1)\n"
+        "sigma twisted product: FAIL witness=(1, 1, 1)\n"
+        "product preservation: PASS\n"
+        "sigma automorphism: FAIL witness=(1, 1, 1)\n"
+    ),
+    "check-ybe": "yang-baxter: FAIL witness=(0, 0, 10)\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ALL_WITNESSES_PINS))
+def test_all_witnesses_stream_pinned(command, tmp_path, capsys):
+    path = _witness_inputs(tmp_path)[command]
+    assert main([command, path, "--all-witnesses"]) == 1
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) == ALL_WITNESSES_PINS[command]
+
+
+@pytest.mark.parametrize("command", sorted(FIRST_WITNESS_OUTPUT))
+def test_first_witness_output_pinned(command, tmp_path, capsys):
+    path = _witness_inputs(tmp_path)[command]
+    assert main([command, path]) == 1
+    assert capsys.readouterr().out == FIRST_WITNESS_OUTPUT[command]
+
+
+@pytest.mark.parametrize("block_lines", [1, 7])
+@pytest.mark.parametrize("command", sorted(ALL_WITNESSES_PINS))
+def test_all_witnesses_stream_independent_of_block_size(
+    command, block_lines, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(cli, "WITNESS_BLOCK_LINES", block_lines)
+    path = _witness_inputs(tmp_path)[command]
+    assert main([command, path, "--all-witnesses"]) == 1
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) == ALL_WITNESSES_PINS[command]

@@ -1,16 +1,19 @@
-"""Property tests: the two YBE evaluators, isomorphism, canonical forms, and
+"""Property tests: the two YBE evaluators, the table-driven sweeps against
+their per-definition references, isomorphism, canonical forms, dedup, and
 the CLI's handling of malformed input."""
 
 import copy
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewbrace as sb
+from skewbrace import braces
 from skewbrace.cli import main
-from skewbrace.ybe import YbeMap
+from skewbrace.ybe import YbeMap, ybe_violations
 
 
 @st.composite
@@ -36,6 +39,7 @@ def test_ybe_evaluators_agree(rmap):
     step = sb.check_ybe(rmap)
     mat = sb.check_ybe_materialized(rmap)
     assert (step.ok, step.witness) == (mat.ok, mat.witness)
+    assert list(ybe_violations(rmap)) == list(_ref_ybe_violations(rmap))
 
 
 @pytest.fixture(scope="module")
@@ -43,24 +47,189 @@ def catalogs(raw_catalogs, raw_catalog_8):
     return {**{n: c.braces for n, c in raw_catalogs.items()}, 8: raw_catalog_8.braces}
 
 
+def _relabelled(table, p):
+    """The group table moved along the bijection p of its carrier."""
+    n = len(p)
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            rows[p[a]][p[b]] = p[table[a][b]]
+    return sb.GroupTable(n, rows)
+
+
 def _transport(brace, tail):
     """The brace relabelled by p = (0, *tail), a bijection fixing 0."""
     p = (0, *tail)
-    n = brace.n
-
-    def move(table):
-        rows = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                rows[p[a]][p[b]] = p[table[a][b]]
-        return sb.GroupTable(n, rows)
-
-    return sb.SkewBrace(move(brace.dot.table), move(brace.circ.table))
+    return sb.SkewBrace(_relabelled(brace.dot.table, p), _relabelled(brace.circ.table, p))
 
 
 def _draw_relabelled(data, braces):
     brace = data.draw(st.sampled_from(braces))
     return _transport(brace, data.draw(st.permutations(range(1, brace.n))))
+
+
+# --- per-definition references ------------------------------------------------
+#
+# The sweeps in skewbrace.braces and skewbrace.ybe read sigma, tau and R from
+# precomputed tables with hoisted rows. These references evaluate every
+# sigma_x(y), tau_y(x) and both sides of the Yang-Baxter equation from the
+# definitions, one call per value, in the same sweep order.
+
+
+def _sigma_tables(dot, circ, x, y):
+    return dot.table[dot.inv[x]][circ.table[x][y]]
+
+
+def _tau_tables(dot, circ, y, x):
+    s = _sigma_tables(dot, circ, x, y)
+    c = circ.table
+    return c[c[circ.inv[s]][x]][y]
+
+
+def _ref_sigma_homomorphism(dot, circ):
+    n = dot.n
+    for x in range(n):
+        for y in range(n):
+            xy = circ.table[x][y]
+            for z in range(n):
+                if _sigma_tables(dot, circ, xy, z) != _sigma_tables(
+                    dot, circ, x, _sigma_tables(dot, circ, y, z)
+                ):
+                    yield (x, y, z)
+
+
+def _ref_tau_antihomomorphism(dot, circ):
+    n = dot.n
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if _tau_tables(dot, circ, circ.table[y][z], x) != _tau_tables(
+                    dot, circ, z, _tau_tables(dot, circ, y, x)
+                ):
+                    yield (x, y, z)
+
+
+def _ref_sigma_twisted_product(dot, circ):
+    n = dot.n
+    c = circ.table
+    for x in range(n):
+        for y in range(n):
+            sxy = _sigma_tables(dot, circ, x, y)
+            tyx = _tau_tables(dot, circ, y, x)
+            for z in range(n):
+                if _sigma_tables(dot, circ, x, c[y][z]) != c[sxy][
+                    _sigma_tables(dot, circ, tyx, z)
+                ]:
+                    yield (x, y, z)
+
+
+def _ref_product_preservation(dot, circ):
+    n = dot.n
+    c = circ.table
+    for x in range(n):
+        for y in range(n):
+            if c[_sigma_tables(dot, circ, x, y)][_tau_tables(dot, circ, y, x)] != c[x][y]:
+                yield (x, y)
+
+
+def _ref_sigma_automorphism(dot, circ):
+    n = dot.n
+    d = dot.table
+    for x in range(n):
+        sx = [_sigma_tables(dot, circ, x, y) for y in range(n)]
+        for y in range(n):
+            for z in range(n):
+                if sx[d[y][z]] != d[sx[y]][sx[z]]:
+                    yield (x, y, z)
+
+
+def _sides_at(r, a, b, c):
+    # Left side: (R x id), then (id x R), then (R x id).
+    d, e = r[a][b]
+    f, g = r[e][c]
+    h, k = r[d][f]
+    # Right side: (id x R), then (R x id), then (id x R).
+    q, rr = r[b][c]
+    s, t = r[a][q]
+    v, w = r[t][rr]
+    return (h, k, g), (s, v, w)
+
+
+def _ref_ybe_violations(rmap):
+    n = rmap.n
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                lhs, rhs = _sides_at(rmap.r, a, b, c)
+                if lhs != rhs:
+                    yield (a, b, c)
+
+
+def _ref_r(dot, circ):
+    n = dot.n
+    return YbeMap(
+        n,
+        [[(_sigma_tables(dot, circ, a, b), _tau_tables(dot, circ, b, a)) for b in range(n)] for a in range(n)],
+    )
+
+
+REFERENCES = {
+    braces.sigma_homomorphism_violations: _ref_sigma_homomorphism,
+    braces.tau_antihomomorphism_violations: _ref_tau_antihomomorphism,
+    braces.sigma_twisted_product_violations: _ref_sigma_twisted_product,
+    braces.product_preservation_violations: _ref_product_preservation,
+    braces.sigma_automorphism_violations: _ref_sigma_automorphism,
+}
+
+
+@pytest.fixture(scope="module")
+def groups_by_order():
+    return {n: sb.enumerate_groups(n) for n in range(1, 9)}
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_table_sweeps_match_per_definition_references(groups_by_order, catalogs, data):
+    """On relabelled pairs of group tables of one order n <= 8 (braces from
+    the catalogs or two unrelated groups, mostly not a brace), every
+    table-driven sweep yields exactly its reference's witnesses."""
+    n = data.draw(st.sampled_from(sorted(catalogs)), label="n")
+    if data.draw(st.booleans(), label="brace"):
+        brace = _draw_relabelled(data, catalogs[n])
+        dot, circ = brace.dot, brace.circ
+    else:
+        dot, circ = (
+            _relabelled(
+                data.draw(st.sampled_from(groups_by_order[n])).table,
+                (0, *data.draw(st.permutations(range(1, n)))),
+            )
+            for _ in range(2)
+        )
+    for sweep, reference in REFERENCES.items():
+        assert list(sweep(dot, circ)) == list(reference(dot, circ)), sweep.__name__
+    S, T = braces._sigma_tau_tables(dot, circ)
+    assert S == [[_sigma_tables(dot, circ, x, y) for y in range(n)] for x in range(n)]
+    assert T == [[_tau_tables(dot, circ, y, x) for x in range(n)] for y in range(n)]
+    r = _ref_r(dot, circ)
+    assert list(ybe_violations(r)) == list(_ref_ybe_violations(r))
+    if sb.check_compatibility(dot, circ).ok:
+        assert sb.build_r(sb.SkewBrace(dot, circ)) == r
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_dedup_invariant_under_relabelling(raw_catalogs, raw_catalog_8, data):
+    """Relabelling every brace of a raw catalog by its own seeded bijection
+    fixing 0 does not change the deduplicated catalog."""
+    catalog = data.draw(st.sampled_from([*raw_catalogs.values(), raw_catalog_8]))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = catalog.order
+    moved = sb.BraceCatalog(
+        n,
+        tuple(_transport(b, rng.sample(range(1, n), n - 1)) for b in catalog.braces),
+        False,
+    )
+    assert sb.deduplicate_catalog(moved) == sb.deduplicate_catalog(catalog)
 
 
 @settings(max_examples=150)
