@@ -24,6 +24,7 @@ sweep in O(n^2) time and memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterator
 
 import json
@@ -321,8 +322,9 @@ def check_compatibility_equivalence(dot: GroupTable, circ: GroupTable) -> Equiva
 # --- brace file formats -----------------------------------------------------
 #
 # JSON: {"n": <int>, "dot": <n x n array>, "circ": <n x n array>}.
-# Text: two Cayley-table blocks (dot first), separated by one blank line;
-# each block is the text format of skewbrace.groups.
+# Text: two Cayley-table blocks (dot first), separated by one or more blank
+# lines (a line holding only whitespace counts as blank); each block is the
+# text format of skewbrace.groups.
 #
 # The *_tables variants validate the two group tables but not compatibility,
 # so a caller can run the identity suite on a pair that is not a brace.
@@ -337,7 +339,11 @@ def parse_brace_tables_json(source: str | dict) -> tuple[GroupTable, GroupTable]
 def parse_brace_tables_text(text: str) -> tuple[GroupTable, GroupTable]:
     from .groups import parse_group_text
 
-    blocks = [b for b in text.split("\n\n") if b.strip()]
+    blocks = [
+        "\n".join(lines)
+        for blank, lines in groupby(text.splitlines(), key=lambda line: not line.strip())
+        if not blank
+    ]
     if len(blocks) != 2:
         raise BraceError(
             f"expected two table blocks separated by a blank line, got {len(blocks)}"

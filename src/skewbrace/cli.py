@@ -4,11 +4,15 @@ Exit codes: 0 on success, 1 on a mathematical failure (an identity or the
 Yang-Baxter equation fails, with witnesses reported), 2 on input or parse
 errors. All file output is byte-identical across runs; timing goes to
 stderr only.
+
+`main(argv)` may be called repeatedly in one process: the argparse parser is
+built once, on the first call, and reused; parsing keeps no state in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -26,7 +30,7 @@ from .braces import (
     sigma_perm,
     tau_perm,
 )
-from .groups import GroupTable, GroupTableError
+from .groups import GroupTable, GroupTableError, _decode_json
 from .search import (
     OrderTooLargeError,
     catalog_to_json,
@@ -66,7 +70,7 @@ def _load_rmap(path: str) -> YbeMap:
     text = _read(path)
     if not text.lstrip().startswith("{"):
         return build_r(SkewBrace(*parse_brace_tables_text(text)))
-    obj = json.loads(text)
+    obj = _decode_json(text, ValueError)
     if isinstance(obj, dict) and "r" in obj:
         return parse_rmap_json(obj)
     if isinstance(obj, dict) and "dot" in obj:
@@ -87,13 +91,23 @@ def _emit(text: str, output: str | None) -> None:
 WITNESS_BLOCK_LINES = 1024
 
 
-def _print_witnesses(name: str, first: tuple[int, ...], rest: Iterable[tuple[int, ...]]) -> None:
+def _print_witnesses(
+    name: str, n: int, first: tuple[int, ...], rest: Iterable[tuple[int, ...]]
+) -> None:
     """Print "<name>: FAIL witness=<tuple>" for `first` and then for every
-    witness in `rest`, writing blocks of WITNESS_BLOCK_LINES lines."""
-    line = f"{name}: FAIL witness=({', '.join(['%d'] * len(first))})\n"
+    witness in `rest`, writing blocks of WITNESS_BLOCK_LINES lines.
+
+    Witnesses are pairs or triples of elements of a carrier of size `n`; each
+    line is one f-string over the decimal strings of 0..n-1, built once."""
+    s = [str(v) for v in range(n)]
+    head = f"{name}: FAIL witness=("
+    if len(first) == 2:
+        lines = lambda ws: [f"{head}{s[a]}, {s[b]})\n" for a, b in ws]
+    else:
+        lines = lambda ws: [f"{head}{s[a]}, {s[b]}, {s[c]})\n" for a, b, c in ws]
     witnesses = chain((first,), rest)
     write = sys.stdout.write
-    while block := [line % w for w in islice(witnesses, WITNESS_BLOCK_LINES)]:
+    while block := lines(islice(witnesses, WITNESS_BLOCK_LINES)):
         write("".join(block))
 
 
@@ -107,7 +121,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"{name}: PASS")
         else:
             code = 1
-            _print_witnesses(name, first, witnesses if args.all_witnesses else ())
+            _print_witnesses(name, dot.n, first, witnesses if args.all_witnesses else ())
     return code
 
 
@@ -163,7 +177,7 @@ def cmd_check_ybe(args: argparse.Namespace) -> int:
         print(f"nondegenerate: {'yes' if check_nondegenerate(rmap) else 'no'}")
         print(f"bijective: {'yes' if check_bijective(rmap) else 'no'}")
         return 0
-    _print_witnesses("yang-baxter", first, witnesses if args.all_witnesses else ())
+    _print_witnesses("yang-baxter", rmap.n, first, witnesses if args.all_witnesses else ())
     return 1
 
 
@@ -189,7 +203,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared by
+    every `main` call in the process; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="skewbrace",
         description="Verify skew brace identities, extract sigma/tau/R maps, "
@@ -241,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NotABraceError as exc:
@@ -251,7 +267,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GroupTableError, BraceError, OrderTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

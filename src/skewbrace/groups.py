@@ -348,6 +348,17 @@ def group_to_text(group: GroupTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decode_json(text: str, error: type[ValueError]) -> object:
+    """Decode JSON text; raise `error` if it is not JSON or nests too deeply
+    for the decoder (which raises RecursionError, not a parse error)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise error("invalid JSON: nested too deeply") from None
+
+
 def _load_table_fields(
     source: str | dict, fields: tuple[str, ...], error: type[ValueError], pairs: bool = False
 ) -> dict:
@@ -359,12 +370,7 @@ def _load_table_fields(
     JSON integers count: no floats, and no booleans, although Python's bool
     is an int.
     """
-    obj = source
-    if isinstance(source, str):
-        try:
-            obj = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise error(f"invalid JSON: {exc}") from None
+    obj = _decode_json(source, error) if isinstance(source, str) else source
     names = [f'"{name}"' for name in ("n", *fields)]
     if not isinstance(obj, dict) or not {"n", *fields} <= set(obj):
         raise error(

@@ -205,6 +205,17 @@ def test_brace_text_round_trip(xor_brace):
     assert parse_brace_text(brace_to_text(xor_brace)) == xor_brace
 
 
+@pytest.mark.parametrize("separator", ["\n \n", "\n\t\n", "\n \t\n  \n", "\n\n\n"])
+def test_brace_text_separator_may_hold_whitespace(xor_brace, separator):
+    """A separator line holding only spaces or tabs is blank, as it is
+    within a block (skewbrace.groups.parse_group_text)."""
+    from skewbrace.braces import brace_to_text, parse_brace_text
+
+    text = brace_to_text(xor_brace)
+    assert text.count("\n\n") == 1
+    assert parse_brace_text(text.replace("\n\n", separator)) == xor_brace
+
+
 def test_brace_parser_rejections(z4):
     from skewbrace.braces import parse_brace_json, parse_brace_text
 

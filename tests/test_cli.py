@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, reports, witnesses, and output determinism."""
 
 import hashlib
+import itertools
 import json
 import random
 
@@ -239,6 +240,11 @@ def test_enumerate_up_to_iso_bytes_pinned(order, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == UP_TO_ISO_SHA256[order]
 
 
+#: JSON arrays nested 200,000 deep: too deep for the decoder, which raises
+#: RecursionError rather than a parse error.
+DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
@@ -259,12 +265,18 @@ def test_enumerate_up_to_iso_bytes_pinned(order, tmp_path):
             {"n": 2, "dot": [[0, 1], [1, 0]], "circ": [[0, True], [1, 0]]},
             '"circ" entries must be integers, got True',
         ),
+        pytest.param(
+            '{"n": 1, "dot": %s, "circ": [[0]]}' % DEEP_ARRAY,
+            "nested too deeply",
+            id="dot nested 200000 deep",
+        ),
     ],
 )
-@pytest.mark.parametrize("command", ["verify", "check-ybe", "maps"])
+@pytest.mark.parametrize("command", ["verify", "check-ybe", "maps", "r-map"])
 def test_malformed_brace_json_exits_2(command, payload, message, tmp_path, capsys):
+    """`payload` is the JSON text itself, or an object to encode."""
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert main([command, str(path)]) == 2
     assert message in capsys.readouterr().err
 
@@ -309,11 +321,13 @@ SWAP_2_R = [[[0, 0], [1, 0]], [[0, 1], [1, 1]]]
         ([["10", [1, 0]], [[0, 1], [1, 1]]], 2, '"r" entries must be [first, second] pairs'),
         ([[[0, 0, 1], [1, 0]], [[0, 1], [1, 1]]], 2, '"r" entries must be [first, second] pairs'),
         ([[[0, True], [1, 0]], [[0, 1], [1, 1]]], 2, '"r" entries must be integers, got True'),
+        pytest.param(DEEP_ARRAY, 1, "nested too deeply", id="r nested 200000 deep"),
     ],
 )
 def test_malformed_rmap_json_exits_2(r, n, message, tmp_path, capsys):
+    """`r` is the JSON text of the "r" field, or an object to encode."""
     path = tmp_path / "bad_r.json"
-    path.write_text(json.dumps({"n": n, "r": r}))
+    path.write_text('{"n": %s, "r": %s}' % (json.dumps(n), r if isinstance(r, str) else json.dumps(r)))
     assert main(["check-ybe", str(path)]) == 2
     assert message in capsys.readouterr().err
 
@@ -413,3 +427,54 @@ def test_all_witnesses_stream_independent_of_block_size(
     assert main([command, path, "--all-witnesses"]) == 1
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) == ALL_WITNESSES_PINS[command]
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 101])
+@pytest.mark.parametrize("arity", [2, 3])
+def test_print_witnesses_matches_percent_d_reference(n, arity, capsys):
+    """Witness lines equal the "%d" template at every label width, up to
+    three digits; the pinned streams above stop at order 16."""
+    rng = random.Random(n * 10 + arity)
+    corners = sorted({v for v in (0, 1, n // 2, n - 2, n - 1, 9, 10, 99, 100) if 0 <= v < n})
+    witnesses = list(itertools.product(corners, repeat=arity))
+    witnesses += [tuple(rng.randrange(n) for _ in range(arity)) for _ in range(3000)]
+    cli._print_witnesses("sweep", n, witnesses[0], iter(witnesses[1:]))
+    line = f"sweep: FAIL witness=({', '.join(['%d'] * arity)})\n"
+    assert capsys.readouterr().out == "".join(line % w for w in witnesses)
+
+
+def test_reused_parser_keeps_no_state_between_calls(xor_file, tmp_path, capsys):
+    """One process runs a sequence of `main` calls on the one cached parser;
+    each call's stdout, stderr and exit code equal those of the same call
+    made on its own, with a freshly built parser."""
+    pair = _witness_inputs(tmp_path)["verify"]
+    sequence = [
+        ["check-ybe", xor_file, "--jobs", "2"],
+        ["maps", xor_file, "--element", "1"],
+        ["maps", xor_file],
+        ["verify", pair, "--all-witnesses"],
+        ["verify", pair],
+        ["check-ybe", xor_file],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    alone = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    assert [run(argv) for argv in sequence] == alone
+    assert cli.build_parser() is parser
+
+    codes = [code for code, _, _ in alone]
+    assert codes == [2, 0, 0, 1, 1, 0]
+    assert alone[2][1].count("sigma[") == 4
+    assert alone[4][1] == FIRST_WITNESS_OUTPUT["verify"]
