@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 
@@ -60,6 +61,14 @@ class NotAssociativeError(GroupTableError):
         self.triple = triple
 
 
+def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The tuple p∘q, i.e. (p[q[0]], ..., p[q[n-1]]), built in C."""
+    if len(q) == 1:
+        # itemgetter with a single index returns the item, not a 1-tuple.
+        return (p[q[0]],)
+    return itemgetter(*q)(p)
+
+
 @dataclass(frozen=True)
 class PermMap:
     """A bijection on 0..n-1, stored as its image array."""
@@ -82,7 +91,7 @@ class PermMap:
 
     def compose(self, other: "PermMap") -> "PermMap":
         """Return self after other: (self.compose(other))(i) = self(other(i))."""
-        return PermMap(self.n, tuple(self.image[v] for v in other.image))
+        return PermMap(self.n, _compose(self.image, other.image))
 
     def inverse(self) -> "PermMap":
         inv = [0] * self.n
@@ -359,6 +368,16 @@ def _decode_json(text: str, error: type[ValueError]) -> object:
         raise error("invalid JSON: nested too deeply") from None
 
 
+def _describe(value: object) -> str:
+    """A JSON value for an error message: scalars by repr, arrays and objects
+    by type alone, since they may nest hundreds of levels deep."""
+    if isinstance(value, list):
+        return "an array"
+    if isinstance(value, dict):
+        return "an object"
+    return repr(value)
+
+
 def _load_table_fields(
     source: str | dict, fields: tuple[str, ...], error: type[ValueError], pairs: bool = False
 ) -> dict:
@@ -378,7 +397,7 @@ def _load_table_fields(
         )
     n = obj["n"]
     if type(n) is not int:
-        raise error(f'"n" must be an integer, got {n!r}')
+        raise error(f'"n" must be an integer, got {_describe(n)}')
     for name in fields:
         rows = obj[name]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -390,7 +409,7 @@ def _load_table_fields(
             cells = [v for p in cells for v in p]
         if not set(map(type, cells)) <= {int}:
             bad = next(v for v in cells if type(v) is not int)
-            raise error(f'"{name}" entries must be integers, got {bad!r}')
+            raise error(f'"{name}" entries must be integers, got {_describe(bad)}')
     return obj
 
 

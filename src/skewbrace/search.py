@@ -25,6 +25,12 @@ always the left translation with cycles (0 1 .. p-1)(p .. 2p-1)... The group
 closure is seeded with that row, and a canonical brace labels a circ element
 g of order p as 1 and g^j o h_i as i*p + j, branching only on g and the coset
 representatives h_i. The (n-1)! brute force is kept as the test oracle.
+
+Before canonical forms are taken, the default dedup enumerates the Aut(dot)
+orbits of circ tables on each dot table: the first brace of an orbit in
+catalog order is its representative and puts every Aut(dot) image of its circ
+table into a set, so later members of the orbit cost one lookup. Tables are
+relabeled row by row, each row a permutation composed in C (groups._compose).
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .braces import CarrierMismatchError, SkewBrace, check_compatibility
 from .groups import (
     GroupTable,
     _associativity_witness,
+    _compose,
     _element_orders,
     _table_isomorphisms,
     automorphisms,
@@ -125,7 +132,7 @@ def _closure_tables(
                     rx = rows[x]
                     ry = rows[y]
                     c = rx[y]
-                    comp = tuple(rx[ry[z]] for z in range(n))
+                    comp = _compose(rx, ry)
                     rc = rows[c]
                     if rc is not None:
                         if rc != comp:
@@ -308,10 +315,7 @@ def enumerate_braces_on_group(group: GroupTable) -> list[SkewBrace]:
         raise AssertionError("automorphism list must start with the identity")
     k = len(auts)
     aindex = {image: i for i, image in enumerate(auts)}
-    compose = [
-        [aindex[tuple(auts[i][auts[j][z]] for z in range(n))] for j in range(k)]
-        for i in range(k)
-    ]
+    compose = [[aindex[_compose(p, q)] for q in auts] for p in auts]
     assign: list[int | None] = [None] * n
     assign[0] = 0
     found: list[SkewBrace] = []
@@ -378,8 +382,8 @@ def brace_isomorphic(b1: SkewBrace, b2: SkewBrace) -> bool:
 
 
 def _relabel(rows: Sequence[Sequence[int]], p: Sequence[int], q: Sequence[int]) -> tuple:
-    n = len(rows)
-    return tuple(tuple(p[rows[q[a]][q[b]]] for b in range(n)) for a in range(n))
+    # Row a of the relabeled table is p∘rows[q[a]]∘q.
+    return tuple(_compose(p, _compose(rows[a], q)) for a in q)
 
 
 def _relabels_below(
@@ -394,31 +398,37 @@ def _relabels_below(
     Rows are built one at a time and the comparison stops at the first row
     that differs, so a losing relabeling usually costs a row or two.
     """
-    n = len(p)
     for rows, best_rows in zip(tables, best):
-        for a in range(n):
-            src = rows[q[a]]
-            row = tuple(p[src[q[b]]] for b in range(n))
-            if row != best_rows[a]:
-                return row < best_rows[a]
+        for a, best_row in zip(q, best_rows):
+            row = _compose(p, _compose(rows[a], q))
+            if row != best_row:
+                return row < best_row
     return False
 
 
 def _canonical_brace_brute_force(brace: SkewBrace) -> SkewBrace:
-    """canonical_brace by trying all (n-1)! relabelings; the test oracle."""
+    """canonical_brace by trying all (n-1)! relabelings; the test oracle.
+
+    It relabels cell by cell rather than through _relabel, so that it shares
+    no code with the route it checks.
+    """
     n = brace.n
     dot = brace.dot.table
     circ = brace.circ.table
     best: tuple | None = None
     q = [0] * n
+
+    def relabel(rows: Sequence[Sequence[int]]) -> tuple:
+        return tuple(tuple(p[rows[q[a]][q[b]]] for b in range(n)) for a in range(n))
+
     for tail in permutations(range(1, n)):
         p = (0,) + tail
         for i, v in enumerate(p):
             q[v] = i
-        cand_circ = _relabel(circ, p, q)
+        cand_circ = relabel(circ)
         if best is not None and cand_circ > best[0]:
             continue
-        cand = (cand_circ, _relabel(dot, p, q))
+        cand = (cand_circ, relabel(dot))
         if best is None or cand < best:
             best = cand
     assert best is not None
@@ -490,31 +500,30 @@ def canonical_brace(brace: SkewBrace) -> SkewBrace:
 
 def _dedup_by_aut_orbit(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
     # Braces sharing a dot table are isomorphic exactly when their circ
-    # tables lie in one Aut(dot) orbit. Isomorphic braces on two different
-    # dot tables (a catalog not built on the class representatives) stay
-    # apart here until their canonical forms coincide below.
+    # tables lie in one Aut(dot) orbit. The orbits are enumerated rather than
+    # keyed: the first brace of an orbit in catalog order becomes its
+    # representative and puts every Aut(dot) image of its circ table into
+    # in_orbit, so each later member costs one lookup and the relabelings
+    # number orbits x |Aut(dot)|, not braces x |Aut(dot)|. Isomorphic braces
+    # on two different dot tables (a catalog not built on the class
+    # representatives) stay apart here until their canonical forms coincide
+    # below.
     by_dot: dict[tuple, list[SkewBrace]] = {}
     for brace in raw:
         by_dot.setdefault(brace.dot.table, []).append(brace)
     reps: list[SkewBrace] = []
     for members in by_dot.values():
-        auts = [perm.image for perm in automorphisms(members[0].dot)]
-        inverses = []
-        for p in auts:
-            q = [0] * len(p)
-            for i, v in enumerate(p):
-                q[v] = i
-            inverses.append(tuple(q))
-        seen: dict[tuple, SkewBrace] = {}
+        inverse_pairs = [
+            (perm.image, perm.inverse().image) for perm in automorphisms(members[0].dot)
+        ]
+        in_orbit: set[tuple] = set()
         for brace in members:
             circ = brace.circ.table
-            key = circ
-            for p, q in zip(auts, inverses):
-                if _relabels_below((circ,), p, q, (key,)):
-                    key = _relabel(circ, p, q)
-            if key not in seen:
-                seen[key] = brace
-        reps.extend(seen.values())
+            if circ in in_orbit:
+                continue
+            reps.append(brace)
+            for p, q in inverse_pairs:
+                in_orbit.add(_relabel(circ, p, q))
     forms: dict[tuple[int, ...], SkewBrace] = {}
     for brace in reps:
         form = canonical_brace(brace)

@@ -240,9 +240,34 @@ def test_enumerate_up_to_iso_bytes_pinned(order, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == UP_TO_ISO_SHA256[order]
 
 
+#: sha256 of `enumerate --order N` output (the raw catalog, every brace on
+#: each group class representative), pinned before the Aut-orbit dedup was
+#: rewritten to enumerate orbits and permutations were composed in C.
+RAW_SHA256 = {
+    1: "b89d155f4d6341e2e8d8a98775f90c0ae327fb539fd26415e543291dd6f5de3e",
+    2: "4c65aa12f8d037e4e337a8258341f7f082deab67866eef4a4380782f7b9ef95d",
+    3: "d7a0afb88b9a9ff8a881171d1613d3596de94ef979a59af97bc77916193c0666",
+    4: "1dd00c0aa22f7715d2f01499b51e0ad82e9321040128edb1f52929dd9147a83c",
+    5: "33dd9d62a3501adc3cf91bc10859222f77599a30e269c5a51f35c206fb53b6c4",
+    6: "f6e84735cb2dfc216479d4d913ae1adb2c8e5fd7888ae901f44b275e517c7cfa",
+    7: "94b137bfa16b5516d871c5c95cbf0ac0b7f90205080b154a7673b07aadf5e7ab",
+    8: "f1028012f83a73406681d5373a1a7fb5f0cdbf03da5300eac0f1a3b600596b22",
+}
+
+
+@pytest.mark.parametrize("order", sorted(RAW_SHA256))
+def test_enumerate_raw_bytes_pinned(order, tmp_path):
+    out = tmp_path / "cat.json"
+    assert main(["enumerate", "--order", str(order), "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RAW_SHA256[order]
+
+
 #: JSON arrays nested 200,000 deep: too deep for the decoder, which raises
 #: RecursionError rather than a parse error.
 DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
+#: JSON arrays nested 900 deep: shallow enough to decode, too deep to quote
+#: in an error message.
+DEEP_900 = "[" * 900 + "]" * 900
 
 
 @pytest.mark.parametrize(
@@ -270,6 +295,16 @@ DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
             "nested too deeply",
             id="dot nested 200000 deep",
         ),
+        pytest.param(
+            '{"n": 2, "dot": [[0, 1], [1, %s]], "circ": [[0, 1], [1, 0]]}' % DEEP_900,
+            '"dot" entries must be integers, got an array',
+            id="dot cell nested 900 deep",
+        ),
+        pytest.param(
+            '{"n": %s, "dot": [[0]], "circ": [[0]]}' % DEEP_900,
+            '"n" must be an integer, got an array',
+            id="n nested 900 deep",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "check-ybe", "maps", "r-map"])
@@ -278,7 +313,9 @@ def test_malformed_brace_json_exits_2(command, payload, message, tmp_path, capsy
     path = tmp_path / "bad.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert main([command, str(path)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err) < 200
 
 
 def _write(tmp_path, text):
@@ -322,14 +359,24 @@ SWAP_2_R = [[[0, 0], [1, 0]], [[0, 1], [1, 1]]]
         ([[[0, 0, 1], [1, 0]], [[0, 1], [1, 1]]], 2, '"r" entries must be [first, second] pairs'),
         ([[[0, True], [1, 0]], [[0, 1], [1, 1]]], 2, '"r" entries must be integers, got True'),
         pytest.param(DEEP_ARRAY, 1, "nested too deeply", id="r nested 200000 deep"),
+        pytest.param(
+            "[[[0, 0], [1, 0]], [[0, 1], [1, %s]]]" % DEEP_900,
+            2,
+            '"r" entries must be integers, got an array',
+            id="r cell nested 900 deep",
+        ),
+        pytest.param(SWAP_2_R, DEEP_900, '"n" must be an integer, got an array', id="n nested 900 deep"),
     ],
 )
 def test_malformed_rmap_json_exits_2(r, n, message, tmp_path, capsys):
-    """`r` is the JSON text of the "r" field, or an object to encode."""
+    """`r` and `n` are the JSON text of their fields, or objects to encode."""
     path = tmp_path / "bad_r.json"
-    path.write_text('{"n": %s, "r": %s}' % (json.dumps(n), r if isinstance(r, str) else json.dumps(r)))
+    r, n = (v if isinstance(v, str) else json.dumps(v) for v in (r, n))
+    path.write_text('{"n": %s, "r": %s}' % (n, r))
     assert main(["check-ybe", str(path)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import skewbrace as sb
 from skewbrace import braces
 from skewbrace.cli import main
+from skewbrace.groups import _compose
+from skewbrace.search import brace_sort_key
 from skewbrace.ybe import YbeMap, ybe_violations
 
 
@@ -230,6 +232,79 @@ def test_dedup_invariant_under_relabelling(raw_catalogs, raw_catalog_8, data):
         False,
     )
     assert sb.deduplicate_catalog(moved) == sb.deduplicate_catalog(catalog)
+
+
+def _relabel_cells(rows, p, q):
+    n = len(rows)
+    return tuple(tuple(p[rows[q[a]][q[b]]] for b in range(n)) for a in range(n))
+
+
+def _dedup_min_over_aut(raw):
+    """The Aut-orbit dedup as the package ran it before it enumerated orbits:
+    every circ table is keyed by its smallest image over all of Aut(dot)."""
+    by_dot = {}
+    for brace in raw:
+        by_dot.setdefault(brace.dot.table, []).append(brace)
+    reps = []
+    for members in by_dot.values():
+        auts = [perm.image for perm in sb.automorphisms(members[0].dot)]
+        inverses = []
+        for p in auts:
+            q = [0] * len(p)
+            for i, v in enumerate(p):
+                q[v] = i
+            inverses.append(tuple(q))
+        seen = {}
+        for brace in members:
+            circ = brace.circ.table
+            key = circ
+            for p, q in zip(auts, inverses):
+                key = min(key, _relabel_cells(circ, p, q))
+            if key not in seen:
+                seen[key] = brace
+        reps.extend(seen.values())
+    forms = {}
+    for brace in reps:
+        form = sb.canonical_brace(brace)
+        forms[brace_sort_key(form)] = form
+    return [forms[key] for key in sorted(forms)]
+
+
+@pytest.fixture(scope="module")
+def raw_by_order(raw_catalogs, raw_catalog_8):
+    return {**raw_catalogs, 7: sb.enumerate_braces(7), 8: raw_catalog_8}
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_orbit_dedup_matches_min_over_aut(raw_by_order, order):
+    """The orbit-enumerating dedup agrees with the min-over-Aut reference on
+    the raw catalog, and on the raw catalog followed by a seeded Aut(dot)
+    image of every brace, whose members all land in orbits met before (so
+    its reference result is the raw catalog's)."""
+    catalog = raw_by_order[order]
+    rng = random.Random(order)
+    images = []
+    for brace in catalog.braces:
+        p = rng.choice(sb.automorphisms(brace.dot)).image
+        image = _transport(brace, p[1:])
+        assert image.dot == brace.dot
+        images.append(image)
+    expected = _dedup_min_over_aut(catalog.braces)
+    for braces in (catalog.braces, catalog.braces + tuple(images)):
+        dedup = sb.deduplicate_catalog(sb.BraceCatalog(order, braces, False))
+        assert list(dedup.braces) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_compose_matches_generator_form(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        p = tuple(rng.sample(range(n), n))
+        q = rng.sample(range(n), n)
+        expected = tuple(p[v] for v in q)
+        assert _compose(p, q) == expected
+        assert _compose(list(p), tuple(q)) == expected
+        assert type(_compose(p, q)) is tuple
 
 
 @settings(max_examples=150)
