@@ -331,12 +331,21 @@ def _is_decimal(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _quote(text: str) -> str:
+    """repr(text) for an error message, cut to a short prefix and the length
+    when the text is long, so that the message stays one short line."""
+    quoted = repr(text)
+    if len(quoted) <= 60:
+        return quoted
+    return f"{quoted[:40]}... ({len(text)} characters)"
+
+
 def parse_group_text(text: str) -> GroupTable:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise GroupTableError("empty table text")
     if not _is_decimal(lines[0].strip()):
-        raise GroupTableError(f"first line must be the carrier size, got {lines[0]!r}")
+        raise GroupTableError(f"first line must be the carrier size, got {_quote(lines[0])}")
     n = int(lines[0])
     if len(lines) != n + 1:
         raise GroupTableError(f"expected {n} table rows, got {len(lines) - 1}")
@@ -345,7 +354,7 @@ def parse_group_text(text: str) -> GroupTable:
         tokens = line.split()
         if not all(_is_decimal(tok) for tok in tokens):
             raise GroupTableError(
-                f"entries must be non-negative decimal integers, got row {line!r}"
+                f"entries must be non-negative decimal integers, got row {_quote(line)}"
             )
         rows.append([int(tok) for tok in tokens])
     return validate_table(n, rows)
@@ -369,12 +378,15 @@ def _decode_json(text: str, error: type[ValueError]) -> object:
 
 
 def _describe(value: object) -> str:
-    """A JSON value for an error message: scalars by repr, arrays and objects
-    by type alone, since they may nest hundreds of levels deep."""
+    """A JSON value for an error message: scalars by repr (strings cut by
+    _quote), arrays and objects by type alone, since they may nest hundreds
+    of levels deep."""
     if isinstance(value, list):
         return "an array"
     if isinstance(value, dict):
         return "an object"
+    if isinstance(value, str):
+        return _quote(value)
     return repr(value)
 
 

@@ -1,10 +1,12 @@
 """Enumeration of groups and skew braces of small order, two independent ways.
 
-The production route enumerates group tables by assigning left-translation
-rows and closing under composition (row a is the permutation x -> a.x, and
-row(a) . row(b) must equal row(a.b), so only generator rows are free), then
-enumerates braces on each group by assigning, element by element, which dot
-automorphism plays sigma_x, closing under sigma_{x o y} = sigma_x sigma_y.
+The production route has one search, _closure_tables: it builds group
+tables by assigning left-translation rows and closing under composition (row
+a is the permutation x -> a.x, and row(a) . row(b) must equal row(a.b), so
+only generator rows are free). Group tables draw row a from the Latin
+permutations sending 0 to a. Braces on a dot group are the same search with
+row x drawn from the holomorph coset L_x Aut(dot), since the circ
+translation x o - is L_x sigma_x with sigma_x a dot automorphism.
 
 The oracle route is deliberately naive: generate every Latin square with
 identity row/column by cell-level backtracking, keep the associative ones,
@@ -22,9 +24,9 @@ Neither minimum is found by trying every relabeling. If p is the smallest
 prime dividing n, every group of order n has elements of order p and no
 smaller nontrivial order, so row 1 of a lexicographically smallest table is
 always the left translation with cycles (0 1 .. p-1)(p .. 2p-1)... The group
-closure is seeded with that row, and a canonical brace labels a circ element
-g of order p as 1 and g^j o h_i as i*p + j, branching only on g and the coset
-representatives h_i. The (n-1)! brute force is kept as the test oracle.
+search offers only that row for row 1, and a canonical brace labels a circ
+element g of order p as 1 and g^j o h_i as i*p + j, branching only on g and
+the coset representatives h_i. The (n-1)! brute force is kept as the test oracle.
 
 Before canonical forms are taken, the default dedup enumerates the Aut(dot)
 orbits of circ tables on each dot table: the first brace of an orbit in
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .braces import CarrierMismatchError, SkewBrace, check_compatibility
 from .groups import (
@@ -93,33 +95,37 @@ def brace_sort_key(brace: SkewBrace) -> tuple[int, ...]:
 
 
 def _closure_tables(
-    n: int, row1: tuple[int, ...] | None = None
+    n: int, rows_for: Callable[[int, list[set[int]]], Sequence[tuple[int, ...]]]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every group table on 0..n-1 with identity 0 (and with row 1
-    equal to row1, when given).
+    """Yield every group table on 0..n-1 with identity 0 whose rows are
+    drawn from rows_for.
 
-    Rows are left translations; assigning row a and row b forces row a.b to
-    be their composition, so the search branches only on generator rows and
-    prunes on the first inconsistent or column-colliding forced row.
+    Rows are left translations. rows_for(a, cols) gives the candidate rows
+    for row a, where cols[z] holds the values already used in column z;
+    assigning row a and row b forces row a.b to be their composition, so the
+    search branches only on generator rows. A candidate or forced row that
+    repeats a value in some column, or a forced row that disagrees with the
+    row already there, prunes the branch.
     """
-    if n == 1:
-        yield ((0,),)
-        return
     rows: list[tuple[int, ...] | None] = [tuple(range(n))] + [None] * (n - 1)
     cols: list[set[int]] = [{z} for z in range(n)]
 
-    def put(index: int, perm: tuple[int, ...], trail: list[int]) -> None:
+    def put(index: int, perm: tuple[int, ...], trail: list[int]) -> bool:
+        # perm[0] == index, which no assigned row has put into cols[0].
+        if any(map(set.__contains__, cols, perm)):
+            return False
         rows[index] = perm
-        for z in range(n):
-            cols[z].add(perm[z])
+        for col, v in zip(cols, perm):
+            col.add(v)
         trail.append(index)
+        return True
 
     def undo(trail: list[int]) -> None:
         for index in reversed(trail):
             perm = rows[index]
             rows[index] = None
-            for z in range(n):
-                cols[z].remove(perm[z])  # type: ignore[index]
+            for col, v in zip(cols, perm):  # type: ignore[arg-type]
+                col.remove(v)
 
     def close(start: int, trail: list[int]) -> bool:
         queue = [start]
@@ -137,56 +143,54 @@ def _closure_tables(
                     if rc is not None:
                         if rc != comp:
                             return False
-                    else:
-                        if any(comp[z] in cols[z] for z in range(1, n)):
-                            return False
-                        put(c, comp, trail)
+                    elif put(c, comp, trail):
                         queue.append(c)
+                    else:
+                        return False
         return True
-
-    def candidates(a: int) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-        prefix = [a]
-        used = {a}
-
-        def extend(z: int) -> None:
-            if z == n:
-                out.append(tuple(prefix))
-                return
-            for v in range(n):
-                if v not in used and v not in cols[z]:
-                    prefix.append(v)
-                    used.add(v)
-                    extend(z + 1)
-                    prefix.pop()
-                    used.remove(v)
-
-        extend(1)
-        return out
 
     def dfs() -> Iterator[tuple[tuple[int, ...], ...]]:
         a = next((i for i in range(n) if rows[i] is None), None)
         if a is None:
             yield tuple(rows)  # type: ignore[arg-type]
             return
-        for perm in candidates(a):
+        for perm in rows_for(a, cols):
             trail: list[int] = []
-            put(a, perm, trail)
-            if close(a, trail):
+            if put(a, perm, trail) and close(a, trail):
                 yield from dfs()
             undo(trail)
 
-    if row1 is not None:
-        trail: list[int] = []
-        put(1, row1, trail)
-        if not close(1, trail):
-            return
     yield from dfs()
+
+
+def _latin_rows(n: int, a: int, cols: list[set[int]]) -> list[tuple[int, ...]]:
+    """Every permutation of 0..n-1 sending 0 to a that uses no value already
+    in its column (cols[z] for column z)."""
+    out: list[tuple[int, ...]] = []
+    prefix = [a]
+    used = {a}
+
+    def extend(z: int) -> None:
+        if z == n:
+            out.append(tuple(prefix))
+            return
+        for v in range(n):
+            if v not in used and v not in cols[z]:
+                prefix.append(v)
+                used.add(v)
+                extend(z + 1)
+                prefix.pop()
+                used.remove(v)
+
+    extend(1)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _all_tables(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    return tuple(sorted(_closure_tables(order)))
+    return tuple(
+        sorted(_closure_tables(order, lambda a, cols: _latin_rows(order, a, cols)))
+    )
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -236,8 +240,10 @@ def _group_reps(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     # Every class minimum has the forced row 1, so only the tables with that
     # row are partitioned. Positional arguments only: wrappers that time
     # _closure_tables may not forward keywords.
-    row1 = _forced_row1(order) if order > 1 else None
-    return tuple(_class_representatives(list(_closure_tables(order, row1))))
+    def rows_for(a: int, cols: list[set[int]]) -> list[tuple[int, ...]]:
+        return [_forced_row1(order)] if a == 1 else _latin_rows(order, a, cols)
+
+    return tuple(_class_representatives(list(_closure_tables(order, rows_for))))
 
 
 def enumerate_groups(order: int) -> list[GroupTable]:
@@ -302,63 +308,22 @@ def _naive_tables(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 def enumerate_braces_on_group(group: GroupTable) -> list[SkewBrace]:
     """All circ tables making (group, circ) a skew brace, sorted.
 
-    Searches assignments x -> sigma_x over Aut(group) with
-    x o y := x . sigma_x(y); assigning sigma on two elements forces it on
-    their circ product, so only generator elements are branched on. Every
-    completed assignment is re-validated through the SkewBrace constructor,
-    which independently sweeps the compatibility condition.
+    The circ left translation of x is lambda_x(y) = x o y = x . sigma_x(y)
+    with sigma_x in Aut(group), so row x of a circ table lies in the coset
+    L_x Aut(group) of the holomorph, L_x the dot left translation; the circ
+    tables are the group tables whose rows lie in these cosets (the regular
+    subgroups of the holomorph), found by the closure search on those
+    candidate rows. Every table found is re-validated through the SkewBrace
+    constructor, which independently sweeps the compatibility condition.
     """
     n = group.n
     dot = group.table
     auts = [perm.image for perm in automorphisms(group)]
-    if auts[0] != tuple(range(n)):
-        raise AssertionError("automorphism list must start with the identity")
-    k = len(auts)
-    aindex = {image: i for i, image in enumerate(auts)}
-    compose = [[aindex[_compose(p, q)] for q in auts] for p in auts]
-    assign: list[int | None] = [None] * n
-    assign[0] = 0
-    found: list[SkewBrace] = []
-
-    def close(start: int, trail: list[int]) -> bool:
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in range(n):
-                if assign[v] is None:
-                    continue
-                for x, y in ((u, v), (v, u)):
-                    ax = assign[x]
-                    ay = assign[y]
-                    z = dot[x][auts[ax][y]]
-                    forced = compose[ax][ay]
-                    az = assign[z]
-                    if az is None:
-                        assign[z] = forced
-                        trail.append(z)
-                        queue.append(z)
-                    elif az != forced:
-                        return False
-        return True
-
-    def dfs() -> None:
-        x = next((i for i in range(n) if assign[i] is None), None)
-        if x is None:
-            circ_rows = tuple(
-                tuple(dot[e][auts[assign[e]][y]] for y in range(n))
-                for e in range(n)
-            )
-            found.append(SkewBrace(group, GroupTable(n, circ_rows)))
-            return
-        for ai in range(k):
-            trail = [x]
-            assign[x] = ai
-            if close(x, trail):
-                dfs()
-            for e in trail:
-                assign[e] = None
-
-    dfs()
+    cosets = [[_compose(dot[x], s) for s in auts] for x in range(n)]
+    found = [
+        SkewBrace(group, GroupTable(n, rows))
+        for rows in _closure_tables(n, lambda a, cols: cosets[a])
+    ]
     found.sort(key=brace_sort_key)
     return found
 
@@ -556,7 +521,7 @@ def deduplicate_catalog(catalog: BraceCatalog, pairwise: bool = False) -> BraceC
 
 
 def enumerate_braces(order: int, up_to_iso: bool = False) -> BraceCatalog:
-    """All skew braces of the given order via the automorphism-assignment
+    """All skew braces of the given order via the holomorph-coset closure
     search, as a canonical catalog.
 
     Raw catalogs range over the canonical dot representative of each group

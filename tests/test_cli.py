@@ -268,6 +268,8 @@ DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
 #: JSON arrays nested 900 deep: shallow enough to decode, too deep to quote
 #: in an error message.
 DEEP_900 = "[" * 900 + "]" * 900
+#: A 100,000-character string: too long to quote whole in an error message.
+LONG = "a" * 100_000
 
 
 @pytest.mark.parametrize(
@@ -305,6 +307,16 @@ DEEP_900 = "[" * 900 + "]" * 900
             '"n" must be an integer, got an array',
             id="n nested 900 deep",
         ),
+        pytest.param(
+            {"n": LONG, "dot": [[0]], "circ": [[0]]},
+            '"n" must be an integer, got \'aaa',
+            id="n string of 100000 characters",
+        ),
+        pytest.param(
+            {"n": 2, "dot": [[0, 1], [1, LONG]], "circ": [[0, 1], [1, 0]]},
+            '"dot" entries must be integers, got \'aaa',
+            id="dot cell string of 100000 characters",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "check-ybe", "maps", "r-map"])
@@ -335,8 +347,18 @@ XOR_BRACE_TEXT = "4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n\n4\n0 1 2 3\n1 0 3 2\n
         ("0 1 2 3\n1 2", "0 1 2 \u0663\n1 2", "entries must be non-negative decimal integers"),
         ("4\n0 1 2 3\n1 2", "+4\n0 1 2 3\n1 2", "first line must be the carrier size"),
         ("4\n0 1 2 3\n1 0", "0_4\n0 1 2 3\n1 0", "first line must be the carrier size"),
+        ("4\n0 1 2 3\n1 2", LONG + "\n0 1 2 3\n1 2", "carrier size, got 'aaa"),
+        ("3 2 1 0\n", "3 2 1 " + LONG + "\n", "decimal integers, got row '3 2 1 aaa"),
     ],
-    ids=["cell +0", "cell 0_0", "cell arabic-indic 3", "size +4", "size 0_4"],
+    ids=[
+        "cell +0",
+        "cell 0_0",
+        "cell arabic-indic 3",
+        "size +4",
+        "size 0_4",
+        "size line of 100000 characters",
+        "row of 100006 characters",
+    ],
 )
 def test_malformed_brace_text_exits_2(old, new, message, tmp_path, capsys):
     assert main(["verify", _write(tmp_path, XOR_BRACE_TEXT)]) == 0
@@ -344,7 +366,9 @@ def test_malformed_brace_text_exits_2(old, new, message, tmp_path, capsys):
     assert XOR_BRACE_TEXT.count(old) == 1
     path = _write(tmp_path, XOR_BRACE_TEXT.replace(old, new))
     assert main(["verify", path]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err) < 200
 
 
 SWAP_2_R = [[[0, 0], [1, 0]], [[0, 1], [1, 1]]]
@@ -366,6 +390,12 @@ SWAP_2_R = [[[0, 0], [1, 0]], [[0, 1], [1, 1]]]
             id="r cell nested 900 deep",
         ),
         pytest.param(SWAP_2_R, DEEP_900, '"n" must be an integer, got an array', id="n nested 900 deep"),
+        pytest.param(
+            [[[LONG, 0], [1, 0]], [[0, 1], [1, 1]]],
+            2,
+            '"r" entries must be integers, got \'aaa',
+            id="r pair member string of 100000 characters",
+        ),
     ],
 )
 def test_malformed_rmap_json_exits_2(r, n, message, tmp_path, capsys):

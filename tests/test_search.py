@@ -273,6 +273,19 @@ def test_seeded_group_reps_match_all_tables(n):
         assert all(rows[1] == _forced_row1(n) for rows in _group_reps(n))
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_brace_search_matches_definition(n):
+    """Above the oracle's orders, the brace search on each group g finds
+    exactly the group tables t that pass the compatibility sweep with g."""
+    tables = sb.all_group_tables(n)
+    for g in sb.enumerate_groups(n):
+        expected = sorted(
+            (sb.SkewBrace(g, t) for t in tables if sb.check_compatibility(g, t)),
+            key=brace_sort_key,
+        )
+        assert sb.enumerate_braces_on_group(g) == expected
+
+
 def test_catalog_json_structure(raw_catalogs):
     import json
 
