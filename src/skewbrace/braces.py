@@ -23,13 +23,12 @@ sweep in O(n^2) time and memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterator
 
 import json
 
-from .groups import GroupTable, PermMap, _load_table_fields, validate_table
+from .groups import GroupTable, PermMap, _load_table_fields, _Record, validate_table
 
 
 class BraceError(ValueError):
@@ -49,12 +48,16 @@ class NotABraceError(BraceError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """Outcome of an exhaustive identity sweep."""
 
     ok: bool
-    witness: tuple[int, ...] | None = None
+    witness: tuple[int, ...] | None
+    _fields = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: tuple[int, ...] | None = None) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -93,8 +96,7 @@ def _first(violations: Iterator[tuple[int, ...]]) -> CheckResult:
     return CheckResult(witness is None, witness)
 
 
-@dataclass(frozen=True)
-class SkewBrace:
+class SkewBrace(_Record):
     """A validated skew left brace.
 
     Construction checks that both tables share the carrier (every GroupTable
@@ -104,6 +106,12 @@ class SkewBrace:
 
     dot: GroupTable
     circ: GroupTable
+    _fields = ("dot", "circ")
+
+    def __init__(self, dot: GroupTable, circ: GroupTable) -> None:
+        object.__setattr__(self, "dot", dot)
+        object.__setattr__(self, "circ", circ)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         witness = next(compatibility_violations(self.dot, self.circ), None)
@@ -264,10 +272,14 @@ def sigma_automorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator
                     yield (x, y, z)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     name: str
     result: CheckResult
+    _fields = ("name", "result")
+
+    def __init__(self, name: str, result: CheckResult) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "result", result)
 
 
 #: The identity suite, in report order. Each entry is (label, generator of
@@ -294,12 +306,16 @@ def brace_identity_suite(dot: GroupTable, circ: GroupTable) -> list[IdentityRepo
     ]
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(_Record):
     """Joint outcome of the two brace criteria on one table pair."""
 
     compatibility: CheckResult
     homomorphism: CheckResult
+    _fields = ("compatibility", "homomorphism")
+
+    def __init__(self, compatibility: CheckResult, homomorphism: CheckResult) -> None:
+        object.__setattr__(self, "compatibility", compatibility)
+        object.__setattr__(self, "homomorphism", homomorphism)
 
     @property
     def consistent(self) -> bool:

@@ -8,14 +8,65 @@ Conventions used throughout the package:
   ``table[a][b] = a * b``;
 * every ``GroupTable`` is fully validated on construction and immutable
   afterwards, so instances may be shared freely across threads/processes.
+
+The package's value types (``PermMap``, ``GroupTable`` here, and the
+records of :mod:`skewbrace.braces`, :mod:`skewbrace.search` and
+:mod:`skewbrace.ybe`) are plain immutable records built on ``_Record``:
+equality and hashing by field values, a ``Name(field=value, ...)`` repr,
+no assignment after construction, and pickling and copying through their
+instance ``__dict__``. They are not dataclasses: importing ``dataclasses``
+(and the ``inspect`` it imports) and generating their methods would add
+about 60% to the package's import time, which every CLI process pays.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from operator import itemgetter
+import sys
+from operator import attrgetter, itemgetter
 from typing import Iterator, Sequence
+
+
+class _Record:
+    """Base of the package's immutable value types.
+
+    A subclass lists its compared fields in ``_fields``, in constructor
+    order; its ``__init__`` sets each with ``object.__setattr__`` and then,
+    if it validates, calls ``self.__post_init__()``, which may normalise a
+    field or add a computed one the same way. Fields left out of
+    ``_fields`` take no part in equality, hashing or the repr.
+
+    Fields are never set or read through ``self.__dict__``: touching it
+    turns the instance's inline attribute values into a dict, which slows
+    every later attribute read. No ``__slots__``: pickle and copy restore
+    the instance ``__dict__`` without going through ``__setattr__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # The compared values of an instance, fetched in C: a tuple, or the
+        # value itself when there is one field.
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class GroupTableError(ValueError):
@@ -27,7 +78,7 @@ class OutOfRangeError(GroupTableError):
 
     def __init__(self, value: int, n: int, cell: tuple[int, int] | None = None):
         where = f" at cell {cell}" if cell is not None else ""
-        super().__init__(f"value {value!r}{where} is outside 0..{n - 1}")
+        super().__init__(f"value {_cut_int(value)}{where} is outside 0..{n - 1}")
         self.value = value
         self.cell = cell
 
@@ -69,12 +120,17 @@ def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return itemgetter(*q)(p)
 
 
-@dataclass(frozen=True)
-class PermMap:
+class PermMap(_Record):
     """A bijection on 0..n-1, stored as its image array."""
 
     n: int
     image: tuple[int, ...]
+    _fields = ("n", "image")
+
+    def __init__(self, n: int, image: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "image", image)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         image = tuple(self.image)
@@ -100,8 +156,7 @@ class PermMap:
         return PermMap(self.n, tuple(inv))
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(_Record):
     """A finite group given by its full multiplication table.
 
     Validation order is fixed (range, identity, Latin rows, Latin columns,
@@ -111,15 +166,22 @@ class GroupTable:
 
     n: int
     table: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    #: The inverse of each element, computed by validation; not compared.
+    inv: tuple[int, ...]
+    _fields = ("n", "table")
+
+    def __init__(self, n: int, table: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "table", table)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = self.n
         if n < 1:
-            raise GroupTableError(f"carrier size must be positive, got {n}")
+            raise GroupTableError(f"carrier size must be positive, got {_cut_int(n)}")
         rows = tuple(tuple(row) for row in self.table)
         if len(rows) != n or any(len(row) != n for row in rows):
-            raise GroupTableError(f"table must be {n}x{n}")
+            raise GroupTableError(f"table must be {_cut_int(n)}x{_cut_int(n)}")
         object.__setattr__(self, "table", rows)
         for a in range(n):
             for b in range(n):
@@ -340,23 +402,62 @@ def _quote(text: str) -> str:
     return f"{quoted[:40]}... ({len(text)} characters)"
 
 
+def _cut_digits(numeral: str) -> str:
+    """A decimal numeral for an error message, cut to its first digits and
+    the digit count when long, as _quote cuts strings."""
+    if len(numeral) <= 60:
+        return numeral
+    return f"{numeral[:40]}... ({len(numeral.lstrip('-'))} digits)"
+
+
+def _cut_int(value: int) -> str:
+    """_cut_digits(str(value)); an integer with more digits than str()
+    converts (sys.get_int_max_str_digits()) is named by its bit length."""
+    try:
+        return _cut_digits(str(value))
+    except ValueError:
+        return f"<an integer of {value.bit_length()} bits>"
+
+
+def _decimal(token: str) -> int | None:
+    """The value of a token of ASCII digits, or None when it has more
+    significant digits than int() converts (sys.get_int_max_str_digits();
+    int() counts leading zeros too, so they are dropped before the retry)."""
+    try:
+        return int(token)
+    except ValueError:
+        significant = token.lstrip("0") or "0"
+        return None if len(significant) > sys.get_int_max_str_digits() else int(significant)
+
+
 def parse_group_text(text: str) -> GroupTable:
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise GroupTableError("empty table text")
-    if not _is_decimal(lines[0].strip()):
+    size = lines[0].strip()
+    if not _is_decimal(size):
         raise GroupTableError(f"first line must be the carrier size, got {_quote(lines[0])}")
-    n = int(lines[0])
-    if len(lines) != n + 1:
-        raise GroupTableError(f"expected {n} table rows, got {len(lines) - 1}")
+    n = _decimal(size)
+    if n is None or len(lines) != n + 1:
+        shown = _cut_digits(size.lstrip("0") or "0")
+        raise GroupTableError(f"expected {shown} table rows, got {len(lines) - 1}")
     rows = []
-    for line in lines[1:]:
+    for a, line in enumerate(lines[1:]):
         tokens = line.split()
         if not all(_is_decimal(tok) for tok in tokens):
             raise GroupTableError(
                 f"entries must be non-negative decimal integers, got row {_quote(line)}"
             )
-        rows.append([int(tok) for tok in tokens])
+        row = [_decimal(tok) for tok in tokens]
+        if None in row:
+            # A value too long for int() (4300 digits by default) lies
+            # outside every carrier a text file can hold.
+            b = row.index(None)
+            raise GroupTableError(
+                f"value {_cut_digits(tokens[b].lstrip('0'))} at cell {(a, b)} "
+                f"is outside 0..{n - 1}"
+            )
+        rows.append(row)
     return validate_table(n, rows)
 
 
@@ -375,6 +476,12 @@ def _decode_json(text: str, error: type[ValueError]) -> object:
         raise error(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise error("invalid JSON: nested too deeply") from None
+    except ValueError:
+        # Not a JSONDecodeError: int() refused an integer literal with more
+        # digits than sys.get_int_max_str_digits().
+        raise error(
+            f"an integer in the JSON has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _describe(value: object) -> str:

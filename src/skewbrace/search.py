@@ -37,7 +37,6 @@ relabeled row by row, each row a permutation composed in C (groups._compose).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
@@ -49,6 +48,7 @@ from .groups import (
     _associativity_witness,
     _compose,
     _element_orders,
+    _Record,
     _table_isomorphisms,
     automorphisms,
 )
@@ -71,8 +71,7 @@ def _check_order(order: int, bound: int) -> None:
         raise OrderTooLargeError(f"order {order} exceeds the supported bound {bound}")
 
 
-@dataclass(frozen=True)
-class BraceCatalog:
+class BraceCatalog(_Record):
     """A canonically ordered list of braces of one order.
 
     Entries are pairwise distinct; when up_to_iso is set they are pairwise
@@ -82,6 +81,12 @@ class BraceCatalog:
     order: int
     braces: tuple[SkewBrace, ...]
     up_to_iso: bool
+    _fields = ("order", "braces", "up_to_iso")
+
+    def __init__(self, order: int, braces: tuple[SkewBrace, ...], up_to_iso: bool) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "braces", braces)
+        object.__setattr__(self, "up_to_iso", up_to_iso)
 
 
 def brace_sort_key(brace: SkewBrace) -> tuple[int, ...]:

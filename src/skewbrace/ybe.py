@@ -15,31 +15,36 @@ B^3 explicitly and composes them as lookup tables. They must always agree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterator
 
 from .braces import CarrierMismatchError, CheckResult, SkewBrace, _sigma_tau_tables
-from .groups import _load_table_fields
+from .groups import _cut_int, _load_table_fields, _Record
 
 
-@dataclass(frozen=True)
-class YbeMap:
+class YbeMap(_Record):
     """A map B x B -> B x B as a table of output pairs r[a][b] = R(a, b)."""
 
     n: int
     r: tuple[tuple[tuple[int, int], ...], ...]
+    _fields = ("n", "r")
+
+    def __init__(self, n: int, r: tuple[tuple[tuple[int, int], ...], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = self.n
         if n < 1:
-            raise ValueError(f"carrier size must be positive, got {n}")
+            raise ValueError(f"carrier size must be positive, got {_cut_int(n)}")
         rows = tuple(tuple(tuple(pair) for pair in row) for row in self.r)
         if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValueError(f"map table must be {n}x{n}")
+            raise ValueError(f"map table must be {_cut_int(n)}x{_cut_int(n)}")
         for row in rows:
             for pair in row:
                 if len(pair) != 2 or not (0 <= pair[0] < n and 0 <= pair[1] < n):
-                    raise ValueError(f"output {pair} is not a pair in 0..{n - 1}")
+                    shown = ", ".join(map(_cut_int, pair))
+                    raise ValueError(f"output ({shown}) is not a pair in 0..{n - 1}")
         object.__setattr__(self, "r", rows)
 
 

@@ -270,6 +270,10 @@ DEEP_ARRAY = "[" * 200_000 + "]" * 200_000
 DEEP_900 = "[" * 900 + "]" * 900
 #: A 100,000-character string: too long to quote whole in an error message.
 LONG = "a" * 100_000
+#: Decimal integers of 4,000 digits (str() and int() convert them) and of
+#: 5,000 digits (more than Python's default limit of 4,300 digits).
+DIGITS_4000 = "9" * 4_000
+DIGITS_5000 = "9" * 5_000
 
 
 @pytest.mark.parametrize(
@@ -317,6 +321,31 @@ LONG = "a" * 100_000
             '"dot" entries must be integers, got \'aaa',
             id="dot cell string of 100000 characters",
         ),
+        pytest.param(
+            '{"n": %s, "dot": [[0]], "circ": [[0]]}' % DIGITS_4000,
+            "table must be 9999999999999999999999999999999999999999... (4000 digits)x",
+            id="n of 4000 digits",
+        ),
+        pytest.param(
+            '{"n": -%s, "dot": [[0]], "circ": [[0]]}' % DIGITS_4000,
+            "carrier size must be positive, got -999",
+            id="n of minus 4000 digits",
+        ),
+        pytest.param(
+            '{"n": 2, "dot": [[0, 1], [1, 0]], "circ": [[0, 1], [1, %s]]}' % DIGITS_4000,
+            "value 9999999999999999999999999999999999999999... (4000 digits) at cell (1, 1)",
+            id="circ cell of 4000 digits",
+        ),
+        pytest.param(
+            '{"n": %s, "dot": [[0]], "circ": [[0]]}' % DIGITS_5000,
+            "an integer in the JSON has more than 4300 digits",
+            id="n of 5000 digits",
+        ),
+        pytest.param(
+            '{"n": 2, "dot": [[0, 1], [1, %s]], "circ": [[0, 1], [1, 0]]}' % DIGITS_5000,
+            "an integer in the JSON has more than 4300 digits",
+            id="dot cell of 5000 digits",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "check-ybe", "maps", "r-map"])
@@ -328,6 +357,7 @@ def test_malformed_brace_json_exits_2(command, payload, message, tmp_path, capsy
     err = capsys.readouterr().err
     assert message in err
     assert len(err) < 200
+    assert "set_int_max_str_digits" not in err
 
 
 def _write(tmp_path, text):
@@ -349,6 +379,15 @@ XOR_BRACE_TEXT = "4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n\n4\n0 1 2 3\n1 0 3 2\n
         ("4\n0 1 2 3\n1 0", "0_4\n0 1 2 3\n1 0", "first line must be the carrier size"),
         ("4\n0 1 2 3\n1 2", LONG + "\n0 1 2 3\n1 2", "carrier size, got 'aaa"),
         ("3 2 1 0\n", "3 2 1 " + LONG + "\n", "decimal integers, got row '3 2 1 aaa"),
+        ("3 2 1 0\n", "3 2 1 " + DIGITS_4000 + "\n", "(4000 digits) at cell (3, 3) is outside 0..3"),
+        ("3 2 1 0\n", "3 2 1 " + DIGITS_5000 + "\n", "(5000 digits) at cell (3, 3) is outside 0..3"),
+        (
+            "3 2 1 0\n",
+            "3 2 1 000" + DIGITS_5000 + "\n",
+            "value 9999999999999999999999999999999999999999... (5000 digits) at cell (3, 3)",
+        ),
+        ("4\n0 1 2 3\n1 2", DIGITS_4000 + "\n0 1 2 3\n1 2", "(4000 digits) table rows, got 4"),
+        ("4\n0 1 2 3\n1 2", DIGITS_5000 + "\n0 1 2 3\n1 2", "(5000 digits) table rows, got 4"),
     ],
     ids=[
         "cell +0",
@@ -358,6 +397,11 @@ XOR_BRACE_TEXT = "4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n\n4\n0 1 2 3\n1 0 3 2\n
         "size 0_4",
         "size line of 100000 characters",
         "row of 100006 characters",
+        "cell of 4000 digits",
+        "cell of 5000 digits",
+        "cell of 5000 digits after leading zeros",
+        "size of 4000 digits",
+        "size of 5000 digits",
     ],
 )
 def test_malformed_brace_text_exits_2(old, new, message, tmp_path, capsys):
@@ -369,6 +413,18 @@ def test_malformed_brace_text_exits_2(old, new, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert len(err) < 200
+    assert "set_int_max_str_digits" not in err
+
+
+def test_text_tokens_with_many_leading_zeros_keep_their_value(tmp_path, capsys):
+    """A token longer than int() converts may still be a small number."""
+    zeros = "0" * 5_000
+    text = XOR_BRACE_TEXT.replace("4\n0 1 2 3\n1 2", zeros + "4\n0 1 2 3\n1 2")
+    text = text.replace("3 2 1 0\n", f"3 2 1 {zeros}0\n")
+    assert main(["verify", _write(tmp_path, XOR_BRACE_TEXT)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["verify", _write(tmp_path, text)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 SWAP_2_R = [[[0, 0], [1, 0]], [[0, 1], [1, 1]]]
@@ -396,6 +452,30 @@ SWAP_2_R = [[[0, 0], [1, 0]], [[0, 1], [1, 1]]]
             '"r" entries must be integers, got \'aaa',
             id="r pair member string of 100000 characters",
         ),
+        pytest.param(
+            SWAP_2_R,
+            DIGITS_4000,
+            "map table must be 9999999999999999999999999999999999999999... (4000 digits)x",
+            id="n of 4000 digits",
+        ),
+        pytest.param(
+            "[[[0, 0], [1, 0]], [[0, 1], [1, %s]]]" % DIGITS_4000,
+            2,
+            "output (1, 9999999999999999999999999999999999999999... (4000 digits)) is not a pair",
+            id="r pair member of 4000 digits",
+        ),
+        pytest.param(
+            SWAP_2_R,
+            DIGITS_5000,
+            "an integer in the JSON has more than 4300 digits",
+            id="n of 5000 digits",
+        ),
+        pytest.param(
+            "[[[0, 0], [1, 0]], [[0, 1], [1, %s]]]" % DIGITS_5000,
+            2,
+            "an integer in the JSON has more than 4300 digits",
+            id="r pair member of 5000 digits",
+        ),
     ],
 )
 def test_malformed_rmap_json_exits_2(r, n, message, tmp_path, capsys):
@@ -407,6 +487,7 @@ def test_malformed_rmap_json_exits_2(r, n, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert len(err) < 200
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,25 @@ def test_out_of_range_entry():
     assert exc.value.cell == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (10**3999, "1000000000000000000000000000000000000000... (4000 digits)"),
+        (10**5000, "<an integer of 16610 bits>"),
+    ],
+    ids=["4000 digits", "5001 digits"],
+)
+def test_long_integers_are_cut_in_messages(value, shown):
+    """Error messages stay short, also for integers too long for str()."""
+    with pytest.raises(sb.OutOfRangeError) as exc:
+        sb.validate_table(2, [[0, 1], [1, value]])
+    assert str(exc.value) == f"value {shown} at cell (1, 1) is outside 0..1"
+    assert exc.value.value == value
+    with pytest.raises(sb.GroupTableError, match=r"^table must be ") as exc:
+        sb.GroupTable(value, [[0]])
+    assert str(exc.value) == f"table must be {shown}x{shown}"
+
+
 def test_identity_violation():
     # row 0 must read 0 1 2 ...
     with pytest.raises(sb.IdentityViolationError) as exc:
