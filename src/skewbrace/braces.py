@@ -24,11 +24,11 @@ sweep in O(n^2) time and memory.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 import json
 
-from .groups import GroupTable, PermMap, _load_table_fields, _Record, validate_table
+from .groups import GroupTable, PermMap, _load_table_fields, _Record
 
 
 class BraceError(ValueError):
@@ -63,9 +63,11 @@ class CheckResult(_Record):
         return self.ok
 
 
-def _require_compatible_carriers(dot: GroupTable, circ: GroupTable) -> None:
-    if dot.n != circ.n:
-        raise CarrierMismatchError(f"carrier sizes differ: {dot.n} vs {circ.n}")
+def _require_compatible_carriers(a: Any, b: Any) -> None:
+    """Raise CarrierMismatchError unless a and b (tables, braces or R-maps)
+    have carriers of one size."""
+    if a.n != b.n:
+        raise CarrierMismatchError(f"carrier sizes differ: {a.n} vs {b.n}")
 
 
 def compatibility_violations(dot: GroupTable, circ: GroupTable) -> Iterator[tuple[int, int, int]]:
@@ -349,7 +351,7 @@ def check_compatibility_equivalence(dot: GroupTable, circ: GroupTable) -> Equiva
 def parse_brace_tables_json(source: str | dict) -> tuple[GroupTable, GroupTable]:
     """Parse brace JSON, given as text or as the object decoded from it."""
     obj = _load_table_fields(source, ("dot", "circ"), BraceError)
-    return validate_table(obj["n"], obj["dot"]), validate_table(obj["n"], obj["circ"])
+    return GroupTable(obj["n"], obj["dot"]), GroupTable(obj["n"], obj["circ"])
 
 
 def parse_brace_tables_text(text: str) -> tuple[GroupTable, GroupTable]:

@@ -30,9 +30,8 @@ from .braces import (
     sigma_perm,
     tau_perm,
 )
-from .groups import GroupTable, GroupTableError, _decode_json
+from .groups import GroupTable, _cut_int, _decimal, _decode_json, _is_decimal, _quote
 from .search import (
-    OrderTooLargeError,
     catalog_to_json,
     deduplicate_catalog,
     enumerate_braces,
@@ -128,32 +127,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_maps(args: argparse.Namespace) -> int:
     brace = _load_brace(args.brace_file)
     if args.element is not None and not 0 <= args.element < brace.n:
-        raise BraceError(
-            f"element {args.element} is outside 0..{brace.n - 1}"
-        )
-    elements = [args.element] if args.element is not None else list(range(brace.n))
+        raise BraceError(f"element {_cut_int(args.element)} is outside 0..{brace.n - 1}")
+    elements = [args.element] if args.element is not None else range(brace.n)
+    maps = [(x, sigma_perm(brace, x).image, tau_perm(brace, x).image) for x in elements]
     if args.format == "json":
         payload = {
             "n": brace.n,
-            "maps": [
-                {
-                    "element": x,
-                    "sigma": list(sigma_perm(brace, x).image),
-                    "tau": list(tau_perm(brace, x).image),
-                }
-                for x in elements
-            ],
+            "maps": [{"element": x, "sigma": list(s), "tau": list(t)} for x, s, t in maps],
         }
         _emit(json.dumps(payload, indent=1) + "\n", args.output)
     else:
         lines = []
-        for x in elements:
-            lines.append(
-                f"sigma[{x}] = " + " ".join(str(v) for v in sigma_perm(brace, x).image)
-            )
-            lines.append(
-                f"tau[{x}] = " + " ".join(str(v) for v in tau_perm(brace, x).image)
-            )
+        for x, s, t in maps:
+            lines.append(f"sigma[{x}] = " + " ".join(map(str, s)))
+            lines.append(f"tau[{x}] = " + " ".join(map(str, t)))
         _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -203,6 +190,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """The argparse type of the integer options: an optional "-" and ASCII
+    digits, read as the text formats read them; "+", "_", spaces and other
+    scripts' digits are refused, and a long value is cut in the message."""
+    digits = text[1:] if text.startswith("-") else text
+    value = _decimal(digits) if _is_decimal(digits) else None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quote(text)}")
+    return -value if text.startswith("-") else value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and then shared by
@@ -225,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maps", help="print sigma/tau permutations of a brace")
     p.add_argument("brace_file")
-    p.add_argument("--element", type=int, default=None, help="restrict to one element")
+    p.add_argument("--element", type=_integer, default=None, help="restrict to one element")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_maps)
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_ybe)
 
     p = sub.add_parser("enumerate", help="enumerate all braces of one order")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_integer, required=True)
     p.add_argument("--up-to-iso", action="store_true")
     p.add_argument(
         "--oracle",
@@ -264,9 +262,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotABraceError as exc:
         print(f"not a brace: {exc}", file=sys.stderr)
         return 1
-    except (GroupTableError, BraceError, OrderTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -220,12 +220,6 @@ class GroupTable(_Record):
         if not 0 <= a < self.n:
             raise OutOfRangeError(a, self.n)
 
-    @property
-    def is_abelian(self) -> bool:
-        t = self.table
-        n = self.n
-        return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
-
 
 def _associativity_witness(rows: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
     """The lexicographically first (a, b, c) with (ab)c != a(bc), or None."""
@@ -239,15 +233,6 @@ def _associativity_witness(rows: Sequence[Sequence[int]]) -> tuple[int, int, int
                 if left[c] != ra[rb[c]]:
                     return (a, b, c)
     return None
-
-
-def validate_table(n: int, raw: Sequence[Sequence[int]]) -> GroupTable:
-    """Validate an n x n array as a group table with identity 0.
-
-    Raises the first violated axiom with a witness: OutOfRangeError,
-    IdentityViolationError, NotLatinError or NotAssociativeError.
-    """
-    return GroupTable(n, tuple(tuple(row) for row in raw))
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -458,7 +443,7 @@ def parse_group_text(text: str) -> GroupTable:
                 f"is outside 0..{n - 1}"
             )
         rows.append(row)
-    return validate_table(n, rows)
+    return GroupTable(n, rows)
 
 
 def group_to_text(group: GroupTable) -> str:
@@ -534,7 +519,7 @@ def _load_table_fields(
 
 def parse_group_json(text: str) -> GroupTable:
     obj = _load_table_fields(text, ("table",), GroupTableError)
-    return validate_table(obj["n"], obj["table"])
+    return GroupTable(obj["n"], obj["table"])
 
 
 def group_to_json(group: GroupTable) -> str:

@@ -42,11 +42,12 @@ from itertools import permutations
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .braces import CarrierMismatchError, SkewBrace, check_compatibility
+from .braces import SkewBrace, _require_compatible_carriers, check_compatibility
 from .groups import (
     GroupTable,
     _associativity_witness,
     _compose,
+    _cut_int,
     _element_orders,
     _Record,
     _table_isomorphisms,
@@ -66,9 +67,9 @@ class OrderTooLargeError(ValueError):
 
 def _check_order(order: int, bound: int) -> None:
     if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
+        raise ValueError(f"order must be at least 1, got {_cut_int(order)}")
     if order > bound:
-        raise OrderTooLargeError(f"order {order} exceeds the supported bound {bound}")
+        raise OrderTooLargeError(f"order {_cut_int(order)} exceeds the supported bound {bound}")
 
 
 class BraceCatalog(_Record):
@@ -226,18 +227,15 @@ def _class_representatives(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Partition tables into isomorphism classes; return the lexicographically
     smallest member of each class, sorted."""
-    classes: list[tuple[tuple[int, ...], list]] = []
+    classes: list[list[tuple[tuple[int, ...], ...]]] = []
     for rows in tables:
-        key = tuple(sorted(_element_orders(rows)))
-        for cls_key, members in classes:
-            if cls_key == key and next(
-                _table_isomorphisms(members[0], rows), None
-            ) is not None:
+        for members in classes:
+            if next(_table_isomorphisms(members[0], rows), None) is not None:
                 members.append(rows)
                 break
         else:
-            classes.append((key, [rows]))
-    return sorted(min(members) for _, members in classes)
+            classes.append([rows])
+    return sorted(min(members) for members in classes)
 
 
 @lru_cache(maxsize=None)
@@ -260,8 +258,6 @@ def enumerate_groups(order: int) -> list[GroupTable]:
 
 def group_isomorphic(g1: GroupTable, g2: GroupTable) -> bool:
     """Brute-force isomorphism test over bijections fixing 0."""
-    if g1.n != g2.n:
-        return False
     return next(_table_isomorphisms(g1.table, g2.table), None) is not None
 
 
@@ -270,9 +266,6 @@ def group_isomorphic(g1: GroupTable, g2: GroupTable) -> bool:
 
 def _naive_latin_squares(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Cell-by-cell backtracking over Latin squares with identity row/column."""
-    if n == 1:
-        yield ((0,),)
-        return
     rows: list[list[int | None]] = [list(range(n))]
     rows += [[a] + [None] * (n - 1) for a in range(1, n)]
     row_used = [set(range(n))] + [{a} for a in range(1, n)]
@@ -338,8 +331,7 @@ def enumerate_braces_on_group(group: GroupTable) -> list[SkewBrace]:
 
 def brace_isomorphic(b1: SkewBrace, b2: SkewBrace) -> bool:
     """True iff some bijection fixing 0 transports both tables of b1 onto b2."""
-    if b1.n != b2.n:
-        raise CarrierMismatchError(f"carrier sizes differ: {b1.n} vs {b2.n}")
+    _require_compatible_carriers(b1, b2)
     return (
         next(
             _table_isomorphisms(
@@ -571,28 +563,22 @@ def oracle_enumerate(order: int, up_to_iso: bool = False) -> BraceCatalog:
 # --- catalog export and frozen expectations -----------------------------------
 
 
-def catalog_to_json(
-    catalog: BraceCatalog,
-    count_raw: int | None = None,
-    count_up_to_iso: int | None = None,
-) -> str:
+def catalog_to_json(catalog: BraceCatalog, count_raw: int, count_up_to_iso: int) -> str:
     """Serialize a catalog with its metadata header; byte-stable across runs."""
     import json
 
     from . import __version__
     from .braces import brace_to_json_dict
 
-    meta: dict = {
+    meta = {
         "order": catalog.order,
         "up_to_iso": catalog.up_to_iso,
         "count": len(catalog.braces),
+        "count_raw": count_raw,
+        "count_up_to_iso": count_up_to_iso,
+        "tool_version": __version__,
+        "braces": [brace_to_json_dict(b) for b in catalog.braces],
     }
-    if count_raw is not None:
-        meta["count_raw"] = count_raw
-    if count_up_to_iso is not None:
-        meta["count_up_to_iso"] = count_up_to_iso
-    meta["tool_version"] = __version__
-    meta["braces"] = [brace_to_json_dict(b) for b in catalog.braces]
     return json.dumps(meta, indent=1)
 
 

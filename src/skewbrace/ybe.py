@@ -17,7 +17,13 @@ from __future__ import annotations
 import json
 from typing import Iterator
 
-from .braces import CarrierMismatchError, CheckResult, SkewBrace, _sigma_tau_tables
+from .braces import (
+    CheckResult,
+    SkewBrace,
+    _first,
+    _require_compatible_carriers,
+    _sigma_tau_tables,
+)
 from .groups import _cut_int, _load_table_fields, _Record
 
 
@@ -83,8 +89,7 @@ def ybe_violations(rmap: YbeMap) -> Iterator[tuple[int, int, int]]:
 
 def check_ybe(rmap: YbeMap) -> CheckResult:
     """Exhaustively evaluate both sides over all n^3 triples, stepwise."""
-    witness = next(ybe_violations(rmap), None)
-    return CheckResult(witness is None, witness)
+    return _first(ybe_violations(rmap))
 
 
 def check_ybe_materialized(rmap: YbeMap) -> CheckResult:
@@ -147,8 +152,7 @@ def check_bijective(rmap: YbeMap) -> bool:
 
 def check_product_preservation(brace: SkewBrace, rmap: YbeMap) -> CheckResult:
     """Exhaustive check that R(a, b) = (s, t) implies s o t = a o b."""
-    if brace.n != rmap.n:
-        raise CarrierMismatchError(f"carrier sizes differ: {brace.n} vs {rmap.n}")
+    _require_compatible_carriers(brace, rmap)
     c = brace.circ.table
     for a in range(brace.n):
         for b in range(brace.n):

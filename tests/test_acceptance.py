@@ -196,7 +196,7 @@ def test_criterion_8_negative_controls(z4):
     # by the transposition (1 2)
     p = (0, 2, 1, 3)
     bad_rows = tuple(tuple(p[(p[a] + p[b]) % 4] for b in range(4)) for a in range(4))
-    circ = sb.validate_table(4, bad_rows)
+    circ = sb.GroupTable(4, bad_rows)
     result = sb.check_compatibility(z4, circ)
     if result.ok or result.witness != (2, 1, 1):
         ok = False

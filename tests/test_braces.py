@@ -26,7 +26,7 @@ def test_compatibility_trivial_pairs(z4, v4, s3):
 def test_xy_plus_2xy_circ_is_the_xor_table(z4, v4):
     rows = tuple(tuple((x + y + 2 * x * y) % 4 for y in range(4)) for x in range(4))
     assert rows == v4.table
-    assert sb.check_compatibility(z4, sb.validate_table(4, rows)).ok
+    assert sb.check_compatibility(z4, sb.GroupTable(4, rows)).ok
 
 
 def test_z4_with_klein_circ_is_a_brace(z4, v4):
@@ -47,7 +47,7 @@ def test_relabeled_z4_pair_fails(z4):
     p = (0, 2, 1, 3)
     rows = tuple(tuple(p[(p[a] + p[b]) % 4] for b in range(4)) for a in range(4))
     assert rows == BAD_CIRC_4
-    circ = sb.validate_table(4, BAD_CIRC_4)
+    circ = sb.GroupTable(4, BAD_CIRC_4)
     result = sb.check_compatibility(z4, circ)
     assert not result.ok
     assert result.witness == (2, 1, 1)
@@ -61,7 +61,7 @@ def test_make_brace(z4, v4):
     brace = sb.SkewBrace(z4, v4)
     assert brace.n == 4
     with pytest.raises(sb.NotABraceError) as exc:
-        sb.SkewBrace(z4, sb.validate_table(4, BAD_CIRC_4))
+        sb.SkewBrace(z4, sb.GroupTable(4, BAD_CIRC_4))
     assert exc.value.witness == (2, 1, 1)
 
 
@@ -174,7 +174,7 @@ def test_identity_suite_names_and_pass(xor_brace):
 
 
 def test_identity_suite_reports_failures(z4):
-    circ = sb.validate_table(4, BAD_CIRC_4)
+    circ = sb.GroupTable(4, BAD_CIRC_4)
     reports = {r.name: r.result for r in brace_identity_suite(z4, circ)}
     assert not reports["compatibility"].ok
     assert reports["compatibility"].witness == (2, 1, 1)

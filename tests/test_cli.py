@@ -500,6 +500,68 @@ def test_jobs_option_is_a_usage_error(argv, capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
+#: A 4,000-digit value cut by groups._cut_int, and a 5,000-digit one (too
+#: long for int()) quoted and cut by groups._quote.
+CUT_9S = "9" * 40 + "..."
+QUOTED_5000 = "invalid int value: '" + "9" * 39 + "... (5000 characters)"
+
+
+@pytest.mark.parametrize(
+    "option, value, usage, message",
+    [
+        ("--order", "٣", True, "argument --order: invalid int value: '٣'"),
+        ("--order", "+3", True, "argument --order: invalid int value: '+3'"),
+        ("--order", " 3", True, "argument --order: invalid int value: ' 3'"),
+        ("--order", "1_0", True, "argument --order: invalid int value: '1_0'"),
+        ("--order", DIGITS_4000, False, f"order {CUT_9S} (4000 digits) exceeds the supported"),
+        ("--order", DIGITS_5000, True, QUOTED_5000),
+        ("--element", "١", True, "argument --element: invalid int value: '١'"),
+        ("--element", "0_1", True, "argument --element: invalid int value: '0_1'"),
+        ("--element", DIGITS_4000, False, f"element {CUT_9S} (4000 digits) is outside 0..3"),
+        ("--element", DIGITS_5000, True, QUOTED_5000),
+        # Messages that read the same before the options took ASCII digits only.
+        ("--order", "x", True, "argument --order: invalid int value: 'x'"),
+        ("--order", "-1", False, "error: order must be at least 1, got -1\n"),
+        ("--element", "x", True, "argument --element: invalid int value: 'x'"),
+        ("--element", "-1", False, "error: element -1 is outside 0..3\n"),
+    ],
+    ids=[
+        "order arabic-indic 3",
+        "order +3",
+        "order space 3",
+        "order 1_0",
+        "order of 4000 digits",
+        "order of 5000 digits",
+        "element arabic-indic 1",
+        "element 0_1",
+        "element of 4000 digits",
+        "element of 5000 digits",
+        "order x",
+        "order -1",
+        "element x",
+        "element -1",
+    ],
+)
+def test_integer_options_take_ascii_digits_only(option, value, usage, message, xor_file, capsys):
+    """`usage` is set where argparse refuses the value and exits."""
+    if option == "--order":
+        argv = ["enumerate", "--up-to-iso", "--order", value]
+    else:
+        argv = ["maps", xor_file, "--element", value]
+    if usage:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code = exc.value.code
+    else:
+        code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    # argparse writes its usage lines before the error line.
+    assert max(map(len, err.splitlines())) < 200
+    assert "set_int_max_str_digits" not in err
+
+
 def _product_table(t1, t2):
     """Cayley table of the direct product; (a1, a2) is element a1 * n2 + a2."""
     n2 = len(t2)

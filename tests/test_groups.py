@@ -56,21 +56,21 @@ def _first_nonassoc_triple(rows):
 
 
 def test_z2_is_valid():
-    g = sb.validate_table(2, [[0, 1], [1, 0]])
+    g = sb.GroupTable(2, [[0, 1], [1, 0]])
     assert g.n == 2
     assert g.table == ((0, 1), (1, 0))
 
 
 def test_repeated_entry_is_not_latin():
     with pytest.raises(sb.NotLatinError) as exc:
-        sb.validate_table(2, [[0, 1], [1, 1]])
+        sb.GroupTable(2, [[0, 1], [1, 1]])
     assert exc.value.axis == "row"
     assert exc.value.index == 1
 
 
 def test_out_of_range_entry():
     with pytest.raises(sb.OutOfRangeError) as exc:
-        sb.validate_table(2, [[0, 1], [1, 7]])
+        sb.GroupTable(2, [[0, 1], [1, 7]])
     assert exc.value.value == 7
     assert exc.value.cell == (1, 1)
 
@@ -86,7 +86,7 @@ def test_out_of_range_entry():
 def test_long_integers_are_cut_in_messages(value, shown):
     """Error messages stay short, also for integers too long for str()."""
     with pytest.raises(sb.OutOfRangeError) as exc:
-        sb.validate_table(2, [[0, 1], [1, value]])
+        sb.GroupTable(2, [[0, 1], [1, value]])
     assert str(exc.value) == f"value {shown} at cell (1, 1) is outside 0..1"
     assert exc.value.value == value
     with pytest.raises(sb.GroupTableError, match=r"^table must be ") as exc:
@@ -97,15 +97,15 @@ def test_long_integers_are_cut_in_messages(value, shown):
 def test_identity_violation():
     # row 0 must read 0 1 2 ...
     with pytest.raises(sb.IdentityViolationError) as exc:
-        sb.validate_table(3, [[0, 2, 1], [1, 0, 2], [2, 1, 0]])
+        sb.GroupTable(3, [[0, 2, 1], [1, 0, 2], [2, 1, 0]])
     assert exc.value.cell == (0, 1)
 
 
 def test_wrong_shape_rejected():
     with pytest.raises(sb.GroupTableError):
-        sb.validate_table(3, [[0, 1, 2], [1, 2, 0]])
+        sb.GroupTable(3, [[0, 1, 2], [1, 2, 0]])
     with pytest.raises(sb.GroupTableError):
-        sb.validate_table(0, [])
+        sb.GroupTable(0, [])
 
 
 def test_order5_first_nonassociative_frozen_value():
@@ -121,7 +121,7 @@ def test_order5_first_nonassociative_frozen_value():
 
 def test_order5_nonassociative_witness():
     with pytest.raises(sb.NotAssociativeError) as exc:
-        sb.validate_table(5, NONASSOC_5)
+        sb.GroupTable(5, NONASSOC_5)
     assert exc.value.triple == (1, 1, 2)
     # hand re-evaluation at the witness
     a, b, c = exc.value.triple
@@ -293,6 +293,6 @@ def test_json_parser_rejections():
 
 
 def test_trivial_carrier():
-    g = sb.validate_table(1, [[0]])
+    g = sb.GroupTable(1, [[0]])
     assert g.inv == (0,)
     assert len(sb.automorphisms(g)) == 1

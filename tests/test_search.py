@@ -9,8 +9,10 @@ from skewbrace.search import (
     _all_tables,
     _canonical_brace_brute_force,
     _class_representatives,
+    _closure_tables,
     _forced_row1,
     _group_reps,
+    _latin_rows,
     _naive_tables,
     brace_sort_key,
     deduplicate_catalog,
@@ -61,7 +63,7 @@ def test_group_isomorphic_basics(z4, v4):
     assert sb.group_isomorphic(z4, z4)
     assert not sb.group_isomorphic(z4, v4)
     assert not sb.group_isomorphic(z4, sb.cyclic_group(3))
-    relabeled = sb.validate_table(
+    relabeled = sb.GroupTable(
         4, [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 1, 0], [3, 2, 0, 1]]
     )
     assert sb.group_isomorphic(relabeled, z4)
@@ -271,6 +273,28 @@ def test_seeded_group_reps_match_all_tables(n):
     assert _group_reps(n) == tuple(_class_representatives(_all_tables(n)))
     if n > 1:
         assert all(rows[1] == _forced_row1(n) for rows in _group_reps(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_class_representatives_match_brute_force_minima(n):
+    """The class minima equal the dot tables of the brute-force canonical
+    forms of the trivial braces (g, g), a route that shares no code with
+    _class_representatives. Order 8 runs on the tables with the forced row
+    1, which hold every class minimum, instead of all 2,760."""
+    if n < 8:
+        tables = _all_tables(n)
+    else:
+        forced = _forced_row1(n)
+        rows_for = lambda a, cols: [forced] if a == 1 else _latin_rows(n, a, cols)
+        tables = list(_closure_tables(n, rows_for))
+    minima = sorted(
+        {
+            _canonical_brace_brute_force(sb.trivial_brace(sb.GroupTable(n, rows))).dot.table
+            for rows in tables
+        }
+    )
+    assert minima == _class_representatives(tables)
+    assert tuple(minima) == _group_reps(n)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])

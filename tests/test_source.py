@@ -1,0 +1,97 @@
+"""Checks on the package source itself: no unused imports, and a pinned
+public API, so that a deletion leaves no debris and a removed public name
+shows in the diff."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import skewbrace as sb
+
+PACKAGE = Path(sb.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+#: skewbrace.__all__, spelled out. Removing or renaming a public name must
+#: change this list, and the change is recorded with its replacement.
+PUBLIC_NAMES = [
+    "__version__",
+    "BraceCatalog",
+    "BraceError",
+    "CarrierMismatchError",
+    "CheckResult",
+    "GroupTable",
+    "GroupTableError",
+    "IdentityViolationError",
+    "NotABraceError",
+    "NotAssociativeError",
+    "NotLatinError",
+    "OrderTooLargeError",
+    "OutOfRangeError",
+    "PermMap",
+    "SkewBrace",
+    "YbeMap",
+    "all_group_tables",
+    "automorphisms",
+    "brace_identity_suite",
+    "brace_isomorphic",
+    "build_r",
+    "canonical_brace",
+    "catalog_to_json",
+    "check_bijective",
+    "check_compatibility",
+    "check_compatibility_equivalence",
+    "check_nondegenerate",
+    "check_product_preservation",
+    "check_ybe",
+    "check_ybe_materialized",
+    "cyclic_group",
+    "deduplicate_catalog",
+    "enumerate_braces",
+    "enumerate_braces_on_group",
+    "enumerate_groups",
+    "group_isomorphic",
+    "klein_four_group",
+    "load_expected_counts",
+    "opposite_brace",
+    "oracle_enumerate",
+    "parse_brace_json",
+    "parse_brace_text",
+    "parse_group_json",
+    "parse_group_text",
+    "parse_rmap_json",
+    "rmap_to_csv",
+    "rmap_to_json",
+    "sigma",
+    "sigma_perm",
+    "swap_map",
+    "symmetric_group_s3",
+    "tau",
+    "tau_perm",
+    "trivial_brace",
+]
+
+
+def _imported_names(tree):
+    """Each name an import statement binds, with its line number."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [(name, line) for name, line in _imported_names(tree) if name not in used]
+    assert unused == []
+
+
+def test_public_names_are_pinned():
+    assert sb.__all__ == PUBLIC_NAMES
+    assert len(set(sb.__all__)) == len(sb.__all__)
+    assert [name for name in sb.__all__ if not hasattr(sb, name)] == []
