@@ -19,6 +19,13 @@ lexicographically first failing tuple, with components ordered as the
 identity's variables read. The sweeps that involve sigma or tau read them
 from tables S[x][y] = sigma_x(y) and T[y][x] = tau_y(x), built once per
 sweep in O(n^2) time and memory.
+
+The five n^3 sweeps check a row at a time on carriers of at most 256
+elements (groups._byte_table): for each x, both sides for all (y, z) are
+built as two byte strings by bytes.translate and row gathers, in C, and the
+cells of x are scanned, by the same loop as on larger carriers, only when
+the strings differ. An x whose strings agree has no witness, so every
+witness stream, --all-witnesses included, is the cell loop's own.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Any, Callable, Iterator
 
 import json
 
-from .groups import GroupTable, PermMap, _load_table_fields, _Record
+from .groups import GroupTable, PermMap, _byte_table, _compose, _load_table_fields, _Record
 
 
 class BraceError(ValueError):
@@ -77,9 +84,20 @@ def compatibility_violations(dot: GroupTable, circ: GroupTable) -> Iterator[tupl
     d = dot.table
     dinv = dot.inv
     c = circ.table
+    packed = _byte_table(d)
+    if packed is not None:
+        flat, _, pads = packed
+        _, clines, cpads = _byte_table(c)
+        columns = tuple(zip(*d))
     for x in range(n):
         cx = c[x]
         xi = dinv[x]
+        # Row y of the sides, as bytes over z: x o - after row y of dot,
+        # and row (x o y) . x^-1 of dot after x o -.
+        if packed is not None and flat.translate(cpads[x]) == b"".join(
+            map(clines[x].translate, _compose(pads, _compose(columns[xi], cx)))
+        ):
+            continue
         for y in range(n):
             left = d[d[cx[y]][xi]]
             dy = d[y]
@@ -207,8 +225,14 @@ def sigma_homomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator
     n = dot.n
     c = circ.table
     S, _ = _sigma_tau_tables(dot, circ)
+    packed = _byte_table(S)
+    if packed is not None:
+        flat, lines, pads = packed
     for x in range(n):
         sx, cx = S[x], c[x]
+        # Row y of the sides: sigma_{x o y}, and sigma_x after sigma_y.
+        if packed is not None and b"".join(_compose(lines, cx)) == flat.translate(pads[x]):
+            continue
         for y in range(n):
             sxy, sy = S[cx[y]], S[y]
             for z in range(n):
@@ -222,7 +246,16 @@ def tau_antihomomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterat
     n = dot.n
     c = circ.table
     _, T = _sigma_tau_tables(dot, circ)
+    packed = _byte_table(c)
+    if packed is not None:
+        flat = packed[0]
+        # Row u of the transpose of T is z -> tau_z(u).
+        _, lines, pads = _byte_table(tuple(zip(*T)))
     for x in range(n):
+        # Row y of the sides: w -> tau_w(x) after row y of circ, and row
+        # tau_y(x) of the transpose.
+        if packed is not None and flat.translate(pads[x]) == b"".join(_compose(lines, lines[x])):
+            continue
         tx = [T[w][x] for w in range(n)]
         for y in range(n):
             cy, tyx = c[y], tx[y]
@@ -237,8 +270,19 @@ def sigma_twisted_product_violations(dot: GroupTable, circ: GroupTable) -> Itera
     n = dot.n
     c = circ.table
     S, T = _sigma_tau_tables(dot, circ)
+    packed = _byte_table(c)
+    if packed is not None:
+        flat, _, cpads = packed
+        _, lines, pads = _byte_table(S)
+        columns = tuple(zip(*T))
     for x in range(n):
         sx = S[x]
+        # Row y of the sides: sigma_x after row y of circ, and row
+        # sigma_x(y) of circ after sigma_{tau_y(x)}.
+        if packed is not None and flat.translate(pads[x]) == b"".join(
+            map(bytes.translate, _compose(lines, columns[x]), _compose(cpads, sx))
+        ):
+            continue
         for y in range(n):
             cy, csxy, st = c[y], c[sx[y]], S[T[y][x]]
             for z in range(n):
@@ -265,8 +309,18 @@ def sigma_automorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator
     n = dot.n
     d = dot.table
     S, _ = _sigma_tau_tables(dot, circ)
+    packed = _byte_table(d)
+    if packed is not None:
+        flat, _, dpads = packed
+        _, lines, pads = _byte_table(S)
     for x in range(n):
         sx = S[x]
+        # Row y of the sides: sigma_x after row y of dot, and row
+        # sigma_x(y) of dot after sigma_x.
+        if packed is not None and flat.translate(pads[x]) == b"".join(
+            map(lines[x].translate, _compose(dpads, sx))
+        ):
+            continue
         for y in range(n):
             dy, dsy = d[y], d[sx[y]]
             for z in range(n):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from itertools import chain, islice
@@ -124,6 +123,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return code
 
 
+def _maps_json(n: int, maps: list[tuple[int, tuple[int, ...], tuple[int, ...]]]) -> str:
+    """json.dumps({"n": n, "maps": [{"element": x, "sigma": [...], "tau": [...]},
+    ...]}, indent=1), written out directly: with an indent, json runs its
+    pure-Python encoder, several times slower. Every list is non-empty."""
+    s = [str(v) for v in range(n)]
+    sep = ",\n    "
+    entries = [
+        f'  {{\n   "element": {x},\n   "sigma": [\n    {sep.join([s[v] for v in sigma])}\n   ],'
+        f'\n   "tau": [\n    {sep.join([s[v] for v in tau])}\n   ]\n  }}'
+        for x, sigma, tau in maps
+    ]
+    return f'{{\n "n": {n},\n "maps": [\n' + ",\n".join(entries) + "\n ]\n}"
+
+
 def cmd_maps(args: argparse.Namespace) -> int:
     brace = _load_brace(args.brace_file)
     if args.element is not None and not 0 <= args.element < brace.n:
@@ -131,11 +144,7 @@ def cmd_maps(args: argparse.Namespace) -> int:
     elements = [args.element] if args.element is not None else range(brace.n)
     maps = [(x, sigma_perm(brace, x).image, tau_perm(brace, x).image) for x in elements]
     if args.format == "json":
-        payload = {
-            "n": brace.n,
-            "maps": [{"element": x, "sigma": list(s), "tau": list(t)} for x, s, t in maps],
-        }
-        _emit(json.dumps(payload, indent=1) + "\n", args.output)
+        _emit(_maps_json(brace.n, maps) + "\n", args.output)
     else:
         lines = []
         for x, s, t in maps:

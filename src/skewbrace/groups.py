@@ -9,6 +9,16 @@ Conventions used throughout the package:
 * every ``GroupTable`` is fully validated on construction and immutable
   afterwards, so instances may be shared freely across threads/processes.
 
+Exhaustive checks run a row at a time where they can. For a table of at most
+256 elements every entry fits a byte, so ``_byte_table`` encodes it as one
+``bytes`` string plus 256-byte translation rows, and ``bytes.translate``
+composes a permutation with every row of the table in one C call. The
+associativity check (and the n^3 identity sweeps of :mod:`skewbrace.braces`)
+compares, for each a, both sides over all (b, c) as two byte strings and
+runs the cell loop over a only when the strings differ. A skipped a has no
+failing cell, so the witnesses and their order are the cell loop's own;
+above 256 elements only the cell loop runs.
+
 The package's value types (``PermMap``, ``GroupTable`` here, and the
 records of :mod:`skewbrace.braces`, :mod:`skewbrace.search` and
 :mod:`skewbrace.ybe`) are plain immutable records built on ``_Record``:
@@ -23,6 +33,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterator, Sequence
 
@@ -161,7 +172,9 @@ class GroupTable(_Record):
 
     Validation order is fixed (range, identity, Latin rows, Latin columns,
     associativity) and the first violated axiom is reported with a witness,
-    scanning cells and triples lexicographically.
+    scanning cells and triples lexicographically. The range and column
+    checks and the associativity row check run in C; a cell loop only runs
+    to find the witness of a failure.
     """
 
     n: int
@@ -183,23 +196,25 @@ class GroupTable(_Record):
         if len(rows) != n or any(len(row) != n for row in rows):
             raise GroupTableError(f"table must be {_cut_int(n)}x{_cut_int(n)}")
         object.__setattr__(self, "table", rows)
-        for a in range(n):
-            for b in range(n):
-                v = rows[a][b]
-                if not 0 <= v < n:
-                    raise OutOfRangeError(v, n, cell=(a, b))
+        carrier = set(range(n))
+        # The cell loop only runs to find the first entry outside 0..n-1.
+        if not carrier.issuperset(chain.from_iterable(rows)):
+            for a in range(n):
+                for b in range(n):
+                    v = rows[a][b]
+                    if not 0 <= v < n:
+                        raise OutOfRangeError(v, n, cell=(a, b))
         for b in range(n):
             if rows[0][b] != b:
                 raise IdentityViolationError((0, b), rows[0][b])
         for a in range(n):
             if rows[a][0] != a:
                 raise IdentityViolationError((a, 0), rows[a][0])
-        carrier = set(range(n))
         for a in range(n):
             if set(rows[a]) != carrier:
                 raise NotLatinError("row", a)
-        for b in range(n):
-            if {rows[a][b] for a in range(n)} != carrier:
+        for b, column in enumerate(zip(*rows)):
+            if set(column) != carrier:
                 raise NotLatinError("column", b)
         triple = _associativity_witness(rows)
         if triple is not None:
@@ -221,11 +236,38 @@ class GroupTable(_Record):
             raise OutOfRangeError(a, self.n)
 
 
+def _byte_table(
+    rows: Sequence[Sequence[int]],
+) -> tuple[bytes, tuple[bytes, ...], tuple[bytes, ...]] | None:
+    """The table (n x n, entries in 0..n-1) as bytes, or None when n > 256
+    and an entry may not fit a byte.
+
+    Returns (flat, lines, pads): `flat` holds the n^2 entries row by row,
+    `lines[a]` is row a, and `pads[a]` is row a padded to the 256-byte table
+    of bytes.translate, so that ``s.translate(pads[a])`` replaces every
+    entry v of s by rows[a][v]. ``flat.translate(pads[a])`` is thus row a
+    composed with every row of the table, and ``b"".join(_compose(lines, p))``
+    the rows in the order p, each in one C call.
+    """
+    n = len(rows)
+    if n > 256:
+        return None
+    tail = bytes(256 - n)
+    lines = tuple(map(bytes, rows))
+    return b"".join(lines), lines, tuple([line + tail for line in lines])
+
+
 def _associativity_witness(rows: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
     """The lexicographically first (a, b, c) with (ab)c != a(bc), or None."""
     n = len(rows)
+    packed = _byte_table(rows)
+    if packed is not None:
+        flat, lines, pads = packed
     for a in range(n):
         ra = rows[a]
+        # Row b of (ab)c is row ab; row b of a(bc) is row b followed by a.
+        if packed is not None and b"".join(_compose(lines, ra)) == flat.translate(pads[a]):
+            continue
         for b in range(n):
             left = rows[ra[b]]
             rb = rows[b]
@@ -283,32 +325,43 @@ def _element_orders(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(orders)
 
 
+def _signature(
+    table: Sequence[Sequence[int]], extra: Sequence[Sequence[int]] | None = None
+) -> list[tuple[int, ...]]:
+    """Per element, its order in the table (and in the extra table), which
+    every isomorphism preserves."""
+    if extra is None:
+        return [(o,) for o in _element_orders(table)]
+    return list(zip(_element_orders(table), _element_orders(extra)))
+
+
 def _table_isomorphisms(
     t1: Sequence[Sequence[int]],
     t2: Sequence[Sequence[int]],
     extra1: Sequence[Sequence[int]] | None = None,
     extra2: Sequence[Sequence[int]] | None = None,
+    sig1: Sequence[tuple[int, ...]] | None = None,
+    sig2: Sequence[tuple[int, ...]] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every bijection p with p(0)=0 and p(t1[a][b]) = t2[p(a)][p(b)].
 
     When an extra table pair is given, p must transport it as well (used for
     brace isomorphism, where dot and circ must be preserved simultaneously).
     Assignments are propagated through products, so only generator images are
-    branched on; yielded in DFS order, not sorted.
+    branched on; yielded in DFS order, not sorted. A caller that tests one
+    table against many passes its _signature in, so it is computed once.
     """
     n = len(t1)
     if len(t2) != n:
         return
     pairs = [(t1, t2)]
-    sig1 = [(o,) for o in _element_orders(t1)]
-    sig2 = [(o,) for o in _element_orders(t2)]
     if extra1 is not None:
         assert extra2 is not None
         pairs.append((extra1, extra2))
-        for x, o in enumerate(_element_orders(extra1)):
-            sig1[x] = sig1[x] + (o,)
-        for x, o in enumerate(_element_orders(extra2)):
-            sig2[x] = sig2[x] + (o,)
+    if sig1 is None:
+        sig1 = _signature(t1, extra1)
+    if sig2 is None:
+        sig2 = _signature(t2, extra2)
     if sorted(sig1) != sorted(sig2):
         return
 
@@ -363,7 +416,8 @@ def _table_isomorphisms(
 def automorphisms(group: GroupTable) -> list[PermMap]:
     """All automorphisms of the group (bijections fixing 0 that preserve the
     table), in lexicographic order of image arrays."""
-    images = sorted(_table_isomorphisms(group.table, group.table))
+    sig = _signature(group.table)
+    images = sorted(_table_isomorphisms(group.table, group.table, sig1=sig, sig2=sig))
     return [PermMap(group.n, image) for image in images]
 
 

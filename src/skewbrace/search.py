@@ -50,6 +50,7 @@ from .groups import (
     _cut_int,
     _element_orders,
     _Record,
+    _signature,
     _table_isomorphisms,
     automorphisms,
 )
@@ -227,15 +228,17 @@ def _class_representatives(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Partition tables into isomorphism classes; return the lexicographically
     smallest member of each class, sorted."""
-    classes: list[list[tuple[tuple[int, ...], ...]]] = []
+    # Each class is its first member's signature and its members.
+    classes: list[tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], ...]]]] = []
     for rows in tables:
-        for members in classes:
-            if next(_table_isomorphisms(members[0], rows), None) is not None:
+        sig = _signature(rows)
+        for first_sig, members in classes:
+            if next(_table_isomorphisms(members[0], rows, sig1=first_sig, sig2=sig), None) is not None:
                 members.append(rows)
                 break
         else:
-            classes.append([rows])
-    return sorted(min(members) for members in classes)
+            classes.append((sig, [rows]))
+    return sorted(min(members) for _, members in classes)
 
 
 @lru_cache(maxsize=None)

@@ -117,6 +117,28 @@ def test_maps_json_format(xor_file, capsys):
     assert payload["maps"][1]["sigma"] == [0, 3, 2, 1]
 
 
+@pytest.mark.parametrize("order, element", [(1, None), (8, None), (8, 5)])
+def test_maps_json_is_the_indented_encoding(tmp_path, capsys, raw_catalog_8, order, element):
+    """`maps --format json` writes exactly json.dumps(payload, indent=1)."""
+    brace = raw_catalog_8.braces[100] if order == 8 else sb.trivial_brace(sb.cyclic_group(1))
+    path = tmp_path / "brace.json"
+    path.write_text(brace_to_json(brace))
+    argv = ["maps", str(path), "--format", "json"]
+    assert main(argv if element is None else [*argv, "--element", str(element)]) == 0
+    payload = {
+        "n": brace.n,
+        "maps": [
+            {
+                "element": x,
+                "sigma": list(sb.sigma_perm(brace, x).image),
+                "tau": list(sb.tau_perm(brace, x).image),
+            }
+            for x in (range(brace.n) if element is None else [element])
+        ],
+    }
+    assert capsys.readouterr().out == json.dumps(payload, indent=1) + "\n"
+
+
 def test_rmap_json(xor_file, capsys, xor_brace):
     assert main(["r-map", xor_file]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,6 +1,6 @@
-"""Property tests: the two YBE evaluators, the table-driven sweeps against
-their per-definition references, isomorphism, canonical forms, dedup, and
-the CLI's handling of malformed input."""
+"""Property tests: the two YBE evaluators, the table-driven sweeps and the
+associativity check against their per-definition references, isomorphism,
+canonical forms, dedup, and the CLI's handling of malformed input."""
 
 import copy
 import json
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import skewbrace as sb
 from skewbrace import braces
 from skewbrace.cli import main
-from skewbrace.groups import _compose
+from skewbrace.groups import _associativity_witness, _byte_table, _compose
 from skewbrace.search import brace_sort_key
 from skewbrace.ybe import YbeMap, ybe_violations
 
@@ -73,9 +73,32 @@ def _draw_relabelled(data, braces):
 # --- per-definition references ------------------------------------------------
 #
 # The sweeps in skewbrace.braces and skewbrace.ybe read sigma, tau and R from
-# precomputed tables with hoisted rows. These references evaluate every
-# sigma_x(y), tau_y(x) and both sides of the Yang-Baxter equation from the
-# definitions, one call per value, in the same sweep order.
+# precomputed tables with hoisted rows, and skip each x (each a for
+# associativity) whose sides agree as byte strings. These references
+# evaluate every product, sigma_x(y), tau_y(x) and both sides of the
+# Yang-Baxter equation from the definitions, one call per value, in the same
+# sweep order.
+
+
+def _ref_compatibility(dot, circ):
+    n = dot.n
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                left = circ.multiply(x, dot.multiply(y, z))
+                xy_xi = dot.multiply(circ.multiply(x, y), dot.inverse(x))
+                if left != dot.multiply(xy_xi, circ.multiply(x, z)):
+                    yield (x, y, z)
+
+
+def _ref_associativity_witness(rows):
+    n = len(rows)
+
+    def mul(a, b):
+        return rows[a][b]
+
+    triples = ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
+    return next(((a, b, c) for a, b, c in triples if mul(mul(a, b), c) != mul(a, mul(b, c))), None)
 
 
 def _sigma_tables(dot, circ, x, y):
@@ -175,7 +198,12 @@ def _ref_r(dot, circ):
     )
 
 
+#: Each check with its reference, called with the same arguments: the
+#: identity sweeps take a (dot, circ) pair and yield every witness;
+#: GroupTable's associativity check takes one table and returns its first.
 REFERENCES = {
+    _associativity_witness: _ref_associativity_witness,
+    braces.compatibility_violations: _ref_compatibility,
     braces.sigma_homomorphism_violations: _ref_sigma_homomorphism,
     braces.tau_antihomomorphism_violations: _ref_tau_antihomomorphism,
     braces.sigma_twisted_product_violations: _ref_sigma_twisted_product,
@@ -189,16 +217,35 @@ def groups_by_order():
     return {n: sb.enumerate_groups(n) for n in range(1, 9)}
 
 
+PAIR_SWEEPS = [sweep for sweep in REFERENCES if sweep is not _associativity_witness]
+
+
+def _draw_mixed(data, braces):
+    """The dot table of one brace and the circ table of a brace on another
+    dot table, relabelled together: a pair on which the identities hold at
+    some x and fail at others."""
+    b1 = data.draw(st.sampled_from(braces))
+    b2 = data.draw(st.sampled_from([b for b in braces if b.dot != b1.dot]))
+    p = (0, *data.draw(st.permutations(range(1, b1.n))))
+    return _relabelled(b1.dot.table, p), _relabelled(b2.circ.table, p)
+
+
 @settings(max_examples=150)
 @given(data=st.data())
 def test_table_sweeps_match_per_definition_references(groups_by_order, catalogs, data):
     """On relabelled pairs of group tables of one order n <= 8 (braces from
-    the catalogs or two unrelated groups, mostly not a brace), every
-    table-driven sweep yields exactly its reference's witnesses."""
+    the catalogs, the dot of one brace with the circ of a brace on another
+    dot table, or two unrelated groups), every table-driven sweep yields
+    exactly its reference's witnesses."""
     n = data.draw(st.sampled_from(sorted(catalogs)), label="n")
-    if data.draw(st.booleans(), label="brace"):
+    kind = data.draw(st.sampled_from(["brace", "mixed", "groups"]), label="kind")
+    if kind == "mixed" and len(groups_by_order[n]) == 1:
+        kind = "brace"
+    if kind == "brace":
         brace = _draw_relabelled(data, catalogs[n])
         dot, circ = brace.dot, brace.circ
+    elif kind == "mixed":
+        dot, circ = _draw_mixed(data, catalogs[n])
     else:
         dot, circ = (
             _relabelled(
@@ -207,8 +254,8 @@ def test_table_sweeps_match_per_definition_references(groups_by_order, catalogs,
             )
             for _ in range(2)
         )
-    for sweep, reference in REFERENCES.items():
-        assert list(sweep(dot, circ)) == list(reference(dot, circ)), sweep.__name__
+    for sweep in PAIR_SWEEPS:
+        assert list(sweep(dot, circ)) == list(REFERENCES[sweep](dot, circ)), sweep.__name__
     S, T = braces._sigma_tau_tables(dot, circ)
     assert S == [[_sigma_tables(dot, circ, x, y) for y in range(n)] for x in range(n)]
     assert T == [[_tau_tables(dot, circ, y, x) for x in range(n)] for y in range(n)]
@@ -216,6 +263,87 @@ def test_table_sweeps_match_per_definition_references(groups_by_order, catalogs,
     assert list(ybe_violations(r)) == list(_ref_ybe_violations(r))
     if sb.check_compatibility(dot, circ).ok:
         assert sb.build_r(sb.SkewBrace(dot, circ)) == r
+
+
+def test_mixed_pairs_pass_at_some_x_and_fail_at_others(raw_catalog_8):
+    """On pairs of the kind _draw_mixed draws, each n^3 sweep both skips
+    rows whose sides agree and scans rows that fail, in one pair, and every
+    sweep yields its reference's witnesses."""
+    braces_8 = raw_catalog_8.braces
+    rng = random.Random(8)
+    mixed = set()
+    for _ in range(40):
+        b1 = rng.choice(braces_8)
+        b2 = rng.choice([b for b in braces_8 if b.dot != b1.dot])
+        dot, circ = b1.dot, b2.circ
+        for sweep in PAIR_SWEEPS:
+            witnesses = list(sweep(dot, circ))
+            assert witnesses == list(REFERENCES[sweep](dot, circ)), sweep.__name__
+            if 0 < len({w[0] for w in witnesses}) < 8:
+                mixed.add(sweep)
+    assert mixed == {
+        braces.compatibility_violations,
+        braces.sigma_homomorphism_violations,
+        braces.tau_antihomomorphism_violations,
+        braces.sigma_twisted_product_violations,
+        braces.sigma_automorphism_violations,
+    }
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_associativity_witness_matches_reference(groups_by_order, data):
+    """On a relabelled group table of order n <= 8 with up to two products
+    changed (a at 0 still passes, other a may fail), the associativity
+    check returns its reference's first witness, and GroupTable reports it
+    when the table is still a Latin square."""
+    n = data.draw(st.integers(1, 8), label="n")
+    group = data.draw(st.sampled_from(groups_by_order[n]))
+    rows = [list(row) for row in _relabelled(group.table, (0, *data.draw(st.permutations(range(1, n))))).table]
+    element = st.integers(0, n - 1)
+    for a, b, v in data.draw(st.lists(st.tuples(element, element, element), max_size=2)):
+        if a and b:
+            rows[a][b] = v
+    rows = tuple(map(tuple, rows))
+    witness = _associativity_witness(rows)
+    assert witness == _ref_associativity_witness(rows)
+    if all(sorted(col) == list(range(n)) for col in (*rows, *zip(*rows))):
+        if witness is None:
+            sb.GroupTable(n, rows)
+        else:
+            with pytest.raises(sb.NotAssociativeError) as exc:
+                sb.GroupTable(n, rows)
+            assert exc.value.triple == witness
+
+
+def test_row_check_at_256_elements():
+    """At n = 256, where every entry still fits a byte, the cyclic table
+    validates, and a copy with one intercalate swapped (a Latin square, not a
+    group) reports its reference's first witness."""
+    n = 256
+    table = sb.cyclic_group(n).table
+    assert _byte_table(table) is not None
+    rows = [list(row) for row in table]
+    h = n // 2
+    # Cells (1, 1), (1, 1+h), (1+h, 1), (1+h, 1+h) hold 2, 2+h, 2+h, 2.
+    rows[1][1], rows[1][1 + h] = rows[1][1 + h], rows[1][1]
+    rows[1 + h][1], rows[1 + h][1 + h] = rows[1 + h][1 + h], rows[1 + h][1]
+    rows = tuple(map(tuple, rows))
+    witness = _ref_associativity_witness(rows)
+    assert witness is not None
+    with pytest.raises(sb.NotAssociativeError) as exc:
+        sb.GroupTable(n, rows)
+    assert exc.value.triple == witness
+
+
+def test_row_check_declines_above_256_elements():
+    """At n = 257 an entry may not fit a byte: the helper declines and the
+    cell loop alone finds the witness."""
+    n = 257
+    rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+    assert _byte_table(rows) is None
+    rows[2][3] = 0
+    assert _associativity_witness(rows) == _ref_associativity_witness(rows)
 
 
 @settings(max_examples=25)

@@ -1,6 +1,6 @@
-"""Checks on the package source itself: no unused imports, and a pinned
-public API, so that a deletion leaves no debris and a removed public name
-shows in the diff."""
+"""Checks on the package source itself: no unused imports, a pinned public
+API, so that a deletion leaves no debris and a removed public name shows in
+the diff, and no syntax newer than the oldest Python the package supports."""
 
 import ast
 from pathlib import Path
@@ -89,6 +89,13 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [(name, line) for name, line in _imported_names(tree) if name not in used]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", [*MODULES, PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_every_module_parses_as_python_3_10(path):
+    """pyproject.toml declares requires-python >= 3.10: no module may use
+    syntax newer than 3.10."""
+    ast.parse(path.read_text(), feature_version=(3, 10))
 
 
 def test_public_names_are_pinned():
