@@ -1,12 +1,18 @@
 """Enumeration of groups and skew braces of small order, two independent ways.
 
-The production route has one search, _closure_tables: it builds group
-tables by assigning left-translation rows and closing under composition (row
-a is the permutation x -> a.x, and row(a) . row(b) must equal row(a.b), so
-only generator rows are free). Group tables draw row a from the Latin
-permutations sending 0 to a. Braces on a dot group are the same search with
+The production route builds the groups of order n up to isomorphism by
+cyclic extension (_group_classes): every group of order < 60 is solvable, so
+it is <N, t> with N normal of prime index p, and the candidates are built
+from the classes of order n/p, one per t-action alpha in Aut(N) and t^p = z,
+then split into classes. The braces on a dot group come from one search,
+_closure_tables: it builds group tables by assigning left-translation rows
+and closing under composition (row a is the permutation x -> a.x, and
+row(a) . row(b) must equal row(a.b), so only generator rows are free), with
 row x drawn from the holomorph coset L_x Aut(dot), since the circ
-translation x o - is L_x sigma_x with sigma_x a dot automorphism.
+translation x o - is L_x sigma_x with sigma_x a dot automorphism. The same
+search with row a drawn from the Latin permutations sending 0 to a gives
+every labelled group table (all_group_tables, up to order 8); it is the
+test oracle of the group classes.
 
 The oracle route is deliberately naive: generate every Latin square with
 identity row/column by cell-level backtracking, keep the associative ones,
@@ -18,27 +24,31 @@ Catalogs are canonically sorted (lexicographic on the concatenated
 circ-then-dot tables) so that both routes, and repeated runs, produce
 byte-identical output. Up-to-isomorphism entries are canonical forms: the
 lexicographically smallest (circ, dot) relabeling fixing 0, and each group
-class is represented by its lexicographically smallest table.
+class is represented by its lexicographically smallest table, the dot table
+of the canonical form of the trivial brace (g, g).
 
 Neither minimum is found by trying every relabeling. If p is the smallest
 prime dividing n, every group of order n has elements of order p and no
 smaller nontrivial order, so row 1 of a lexicographically smallest table is
-always the left translation with cycles (0 1 .. p-1)(p .. 2p-1)... The group
-search offers only that row for row 1, and a canonical brace labels a circ
-element g of order p as 1 and g^j o h_i as i*p + j, branching only on g and
-the coset representatives h_i. The (n-1)! brute force is kept as the test oracle.
+always the left translation with cycles (0 1 .. p-1)(p .. 2p-1)... A
+canonical brace therefore labels a circ element g of order p as 1 and
+g^j o h_i as i*p + j, branching only on g and the coset representatives h_i.
+The (n-1)! brute force is kept as the test oracle.
 
 Before canonical forms are taken, the default dedup enumerates the Aut(dot)
 orbits of circ tables on each dot table: the first brace of an orbit in
 catalog order is its representative and puts every Aut(dot) image of its circ
-table into a set, so later members of the orbit cost one lookup. Tables are
-relabeled row by row, each row a permutation composed in C (groups._compose).
+table into a set, so later members of the orbit cost one lookup. A table is
+relabeled as one byte string, by one gather of its cells and one
+bytes.translate of their values. Aut(dot) is computed once for the brace
+search and the dedup of a catalog (_automorphism_images).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -56,7 +66,10 @@ from .groups import (
 )
 
 #: Largest order the production enumerators accept.
-MAX_ORDER = 8
+MAX_ORDER = 12
+#: Largest order all_group_tables accepts: each class of order n has
+#: (n-1)!/|Aut| labelled tables, 7,560 in all at order 9 and 108,864 at 10.
+ALL_TABLES_MAX_ORDER = 8
 #: Largest order the naive oracle accepts (the double-table space above
 #: this is infeasible).
 ORACLE_MAX_ORDER = 5
@@ -212,14 +225,16 @@ def _forced_row1(n: int) -> tuple[int, ...]:
     order of that element. With p the smallest prime dividing n, an element
     of order p exists and none has a smaller order > 1, so the smallest
     possible row 1 is the one with cycles (0 1 .. p-1)(p .. 2p-1)...
+    canonical_brace searches only labelings giving this row; the labelled
+    group route of the tests offers only this row for row 1.
     """
     p = _smallest_prime_factor(n)
     return tuple(a + 1 if (a + 1) % p else a + 1 - p for a in range(n))
 
 
 def all_group_tables(order: int) -> list[GroupTable]:
-    """Every group table on 0..order-1 with identity 0, sorted."""
-    _check_order(order, MAX_ORDER)
+    """Every group table on 0..order-1 with identity 0, sorted (order <= 8)."""
+    _check_order(order, ALL_TABLES_MAX_ORDER)
     return [GroupTable(order, rows) for rows in _all_tables(order)]
 
 
@@ -241,15 +256,81 @@ def _class_representatives(
     return sorted(min(members) for _, members in classes)
 
 
+@lru_cache(maxsize=8)
+def _automorphism_images(group: GroupTable) -> tuple[tuple[int, ...], ...]:
+    # Bounded: it holds the groups of one order up to MAX_ORDER (at most 5),
+    # so the brace search and the dedup of one catalog share each Aut(dot).
+    return tuple(perm.image for perm in automorphisms(group))
+
+
+def _cyclic_extensions(
+    rows: tuple[tuple[int, ...], ...], p: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The table of every group G = <N, t> with N (the group of the table
+    rows) normal of prime index p, t y t^-1 = alpha(y) and t^p = z.
+
+    alpha ranges over Aut(N) and z over N with alpha(z) = z and alpha^p
+    conjugation by z. The element t^i y is labelled i*m + y (m = |N|), and
+    (t^i y)(t^j w) = t^((i+j) mod p) z^[i+j >= p] alpha^-j(y) w.
+    """
+    m = len(rows)
+    group = GroupTable(m, rows)
+    conj = [tuple(rows[rows[z][y]][group.inv[z]] for y in range(m)) for z in range(m)]
+    for alpha in _automorphism_images(group):
+        inverse = sorted(range(m), key=alpha.__getitem__)
+        back = [tuple(range(m))]  # alpha^-j for j = 0..p
+        for _ in range(p):
+            back.append(_compose(inverse, back[-1]))
+        for z in range(m):
+            # alpha^p is conjugation by z iff alpha^-p is conjugation by z^-1.
+            if alpha[z] != z or back[p] != conj[group.inv[z]]:
+                continue
+            table = []
+            for i in range(p):
+                for y in range(m):
+                    row: list[int] = []
+                    for j in range(p):
+                        k, right = i + j, rows[back[j][y]]
+                        if k >= p:
+                            k, right = k - p, _compose(rows[z], right)
+                        row.extend(k * m + v for v in right)
+                    table.append(tuple(row))
+            yield GroupTable(m * p, tuple(table)).table
+
+
+@lru_cache(maxsize=None)
+def _group_classes(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """One table per isomorphism class of groups of the order (< 60), in no
+    canonical labelling.
+
+    Every group of order < 60 is solvable, so it has a normal subgroup N of
+    prime index p (the preimage of one in the abelian G/G'), and G/N is
+    cyclic: G is a cyclic extension of a group of order order/p (Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, 2005).
+    """
+    if order == 1:
+        return (((0,),),)
+    candidates = [
+        table
+        for p in range(2, order + 1)
+        if order % p == 0 and _smallest_prime_factor(p) == p
+        for rows in _group_classes(order // p)
+        for table in _cyclic_extensions(rows, p)
+    ]
+    return tuple(_class_representatives(candidates))
+
+
 @lru_cache(maxsize=None)
 def _group_reps(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # Every class minimum has the forced row 1, so only the tables with that
-    # row are partitioned. Positional arguments only: wrappers that time
-    # _closure_tables may not forward keywords.
-    def rows_for(a: int, cols: list[set[int]]) -> list[tuple[int, ...]]:
-        return [_forced_row1(order)] if a == 1 else _latin_rows(order, a, cols)
-
-    return tuple(_class_representatives(list(_closure_tables(order, rows_for))))
+    """The lexicographically smallest table of each group class of the
+    order, sorted: the dot table of the canonical form of the trivial brace
+    (g, g) on each table g of _group_classes. Only the requested order is
+    made canonical; the orders it is built from are not."""
+    forms = (
+        canonical_brace(SkewBrace(g, g)).dot.table
+        for g in (GroupTable(order, rows) for rows in _group_classes(order))
+    )
+    return tuple(sorted(forms))
 
 
 def enumerate_groups(order: int) -> list[GroupTable]:
@@ -319,7 +400,7 @@ def enumerate_braces_on_group(group: GroupTable) -> list[SkewBrace]:
     """
     n = group.n
     dot = group.table
-    auts = [perm.image for perm in automorphisms(group)]
+    auts = _automorphism_images(group)
     cosets = [[_compose(dot[x], s) for s in auts] for x in range(n)]
     found = [
         SkewBrace(group, GroupTable(n, rows))
@@ -478,17 +559,31 @@ def _dedup_by_aut_orbit(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
         by_dot.setdefault(brace.dot.table, []).append(brace)
     reps: list[SkewBrace] = []
     for members in by_dot.values():
-        inverse_pairs = [
-            (perm.image, perm.inverse().image) for perm in automorphisms(members[0].dot)
-        ]
-        in_orbit: set[tuple] = set()
+        n = members[0].n
+        if n > 256:
+            # Entries may not fit a byte; the canonical forms below still
+            # merge isomorphic braces.
+            reps.extend(members)
+            continue
+        # Relabeling by p (inverse q) sends cell q[a]*n + q[b] of the flat
+        # circ table to cell a*n + b and its value v to p[v]: one gather and
+        # one bytes.translate. The identity, first of the sorted Aut(dot), is
+        # left out, so that order 1 builds no single-index itemgetter.
+        relabelings = []
+        for p in _automorphism_images(members[0].dot)[1:]:
+            q = sorted(range(n), key=p.__getitem__)
+            starts = [a * n for a in q]
+            gather = itemgetter(*[start + b for start in starts for b in q])
+            relabelings.append((gather, bytes(p).ljust(256, b"\0")))
+        in_orbit: set[bytes] = set()
         for brace in members:
-            circ = brace.circ.table
-            if circ in in_orbit:
+            flat = bytes(chain.from_iterable(brace.circ.table))
+            if flat in in_orbit:
                 continue
             reps.append(brace)
-            for p, q in inverse_pairs:
-                in_orbit.add(_relabel(circ, p, q))
+            in_orbit.add(flat)
+            for gather, p_table in relabelings:
+                in_orbit.add(bytes(gather(flat)).translate(p_table))
     forms: dict[tuple[int, ...], SkewBrace] = {}
     for brace in reps:
         form = canonical_brace(brace)

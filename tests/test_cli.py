@@ -226,8 +226,15 @@ def test_enumerate_byte_identical_across_runs(tmp_path):
 
 
 def test_enumerate_order_too_large():
-    assert main(["enumerate", "--order", "9"]) == 2
+    assert main(["enumerate", "--order", "13"]) == 2
     assert main(["enumerate", "--order", "6", "--oracle"]) == 2
+
+
+def test_enumerate_order_12(tmp_path, capsys):
+    out = tmp_path / "cat.json"
+    assert main(["enumerate", "--order", "12", "--up-to-iso", "--output", str(out)]) == 0
+    assert "order=12 raw=116 iso=38 elapsed=" in capsys.readouterr().err
+    assert json.loads(out.read_text())["count"] == 38
 
 
 def test_enumerate_summary_counts(tmp_path, capsys):

@@ -5,12 +5,14 @@ import random
 import pytest
 
 import skewbrace as sb
+from skewbrace import search
 from skewbrace.search import (
     _all_tables,
     _canonical_brace_brute_force,
     _class_representatives,
     _closure_tables,
     _forced_row1,
+    _group_classes,
     _group_reps,
     _latin_rows,
     _naive_tables,
@@ -129,9 +131,11 @@ def test_oracle_agrees_with_search_order4():
 
 def test_order_bounds():
     with pytest.raises(sb.OrderTooLargeError):
-        sb.enumerate_braces(9)
+        sb.enumerate_braces(13)
     with pytest.raises(sb.OrderTooLargeError):
-        sb.enumerate_groups(9)
+        sb.enumerate_groups(13)
+    with pytest.raises(sb.OrderTooLargeError):
+        sb.all_group_tables(9)
     with pytest.raises(sb.OrderTooLargeError):
         sb.oracle_enumerate(6)
     with pytest.raises(ValueError):
@@ -189,6 +193,30 @@ def test_dedup_independent_of_input_order(raw_catalogs):
     scrambled = sb.BraceCatalog(6, tuple(shuffled), False)
     assert deduplicate_catalog(scrambled) == deduplicate_catalog(raw)
     assert deduplicate_catalog(scrambled, pairwise=True) == deduplicate_catalog(raw)
+
+
+def test_aut_computed_once_per_dot_group(monkeypatch):
+    """The brace search and the dedup of one catalog share each Aut(dot)."""
+    dots = []
+
+    def counting(group):
+        dots.append(group.table)
+        return sb.automorphisms(group)
+
+    monkeypatch.setattr(search, "automorphisms", counting)
+    search._automorphism_images.cache_clear()
+    deduplicate_catalog(sb.enumerate_braces(8))
+    # Order 8 is built from the classes of order 4; only its own groups
+    # are dot groups.
+    assert tuple(sorted(t for t in dots if len(t) == 8)) == _group_reps(8)
+
+
+def test_dedup_above_256_elements_skips_the_byte_orbits(monkeypatch):
+    """Above 256 elements a table does not fit bytes: every brace goes on to
+    its canonical form (stubbed here; at order 257 it takes seconds)."""
+    brace = sb.trivial_brace(sb.cyclic_group(257))
+    monkeypatch.setattr(search, "canonical_brace", lambda b: b)
+    assert search._dedup_by_aut_orbit([brace, brace]) == [brace]
 
 
 def test_dedup_routes_agree(raw_catalogs):
@@ -268,11 +296,53 @@ def test_forced_row1_shape():
     assert _forced_row1(9) == (1, 2, 0, 4, 5, 3, 7, 8, 6)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+def _forced_row_tables(n):
+    """The labelled group tables of order n whose row 1 is the forced one,
+    which hold every class minimum: the test oracle for _group_reps."""
+    forced = _forced_row1(n) if n > 1 else None
+    rows_for = lambda a, cols: [forced] if a == 1 else _latin_rows(n, a, cols)
+    return list(_closure_tables(n, rows_for))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
 def test_seeded_group_reps_match_all_tables(n):
-    assert _group_reps(n) == tuple(_class_representatives(_all_tables(n)))
+    """The cyclic-extension route gives the class minima of the labelled
+    route: of all labelled tables up to order 8, and of the tables with the
+    forced row 1 up to order 10."""
+    assert _group_reps(n) == tuple(_class_representatives(_forced_row_tables(n)))
+    if n <= 8:
+        assert _group_reps(n) == tuple(_class_representatives(_all_tables(n)))
     if n > 1:
         assert all(rows[1] == _forced_row1(n) for rows in _group_reps(n))
+
+
+def test_group_class_counts_match_oeis_a000001():
+    """The number of groups of each order 1-16 (OEIS A000001), counted
+    before canonical forms are taken."""
+    counts = [len(_group_classes(n)) for n in range(1, 17)]
+    assert counts == [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14]
+
+
+def test_order_12_catalog_builds_no_labelled_group_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_latin_rows called")
+
+    monkeypatch.setattr(search, "_latin_rows", refuse)
+    _group_classes.cache_clear()
+    _group_reps.cache_clear()
+    assert len(sb.enumerate_braces(12, up_to_iso=True).braces) == 38
+
+
+@pytest.mark.parametrize(
+    "order, raw, iso", [(9, 12, 4), (10, 14, 6), (11, 1, 1), (12, 116, 38)]
+)
+def test_counts_above_order_8(order, raw, iso):
+    """Up to isomorphism these are the published counts (Guarnieri and
+    Vendramin, Math. Comp. 86, 2017); the raw counts are this package's own
+    measurement, not yet confirmed by a second route."""
+    catalog = sb.enumerate_braces(order)
+    assert len(catalog.braces) == raw
+    assert len(deduplicate_catalog(catalog).braces) == iso
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -281,12 +351,7 @@ def test_class_representatives_match_brute_force_minima(n):
     forms of the trivial braces (g, g), a route that shares no code with
     _class_representatives. Order 8 runs on the tables with the forced row
     1, which hold every class minimum, instead of all 2,760."""
-    if n < 8:
-        tables = _all_tables(n)
-    else:
-        forced = _forced_row1(n)
-        rows_for = lambda a, cols: [forced] if a == 1 else _latin_rows(n, a, cols)
-        tables = list(_closure_tables(n, rows_for))
+    tables = _all_tables(n) if n < 8 else _forced_row_tables(n)
     minima = sorted(
         {
             _canonical_brace_brute_force(sb.trivial_brace(sb.GroupTable(n, rows))).dot.table
