@@ -35,7 +35,16 @@ from typing import Any, Callable, Iterator
 
 import json
 
-from .groups import GroupTable, PermMap, _byte_table, _compose, _load_table_fields, _Record
+from .groups import (
+    GroupTable,
+    PermMap,
+    _byte_table,
+    _compose,
+    _load_table_fields,
+    _Record,
+    group_to_text,
+    parse_group_text,
+)
 
 
 class BraceError(ValueError):
@@ -409,8 +418,6 @@ def parse_brace_tables_json(source: str | dict) -> tuple[GroupTable, GroupTable]
 
 
 def parse_brace_tables_text(text: str) -> tuple[GroupTable, GroupTable]:
-    from .groups import parse_group_text
-
     blocks = [
         "\n".join(lines)
         for blank, lines in groupby(text.splitlines(), key=lambda line: not line.strip())
@@ -446,6 +453,4 @@ def brace_to_json(brace: SkewBrace) -> str:
 
 
 def brace_to_text(brace: SkewBrace) -> str:
-    from .groups import group_to_text
-
     return group_to_text(brace.dot) + "\n" + group_to_text(brace.circ)

@@ -52,9 +52,15 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
+def _is_json(text: str) -> bool:
+    """Whether a file is JSON: "{" or "[" first after whitespace, or a leading
+    byte-order mark, which the decoder then reports; text starts with a digit."""
+    return text.startswith("\ufeff") or text.lstrip().startswith(("{", "["))
+
+
 def _load_brace_tables(path: str) -> tuple[GroupTable, GroupTable]:
     text = _read(path)
-    if text.lstrip().startswith("{"):
+    if _is_json(text):
         return parse_brace_tables_json(text)
     return parse_brace_tables_text(text)
 
@@ -66,7 +72,7 @@ def _load_brace(path: str) -> SkewBrace:
 def _load_rmap(path: str) -> YbeMap:
     """Accept an R-map JSON file or a brace file (R is then built from it)."""
     text = _read(path)
-    if not text.lstrip().startswith("{"):
+    if not _is_json(text):
         return build_r(SkewBrace(*parse_brace_tables_text(text)))
     obj = _decode_json(text, ValueError)
     if isinstance(obj, dict) and "r" in obj:

@@ -149,10 +149,6 @@ class PermMap(_Record):
         if len(image) != self.n or sorted(image) != list(range(self.n)):
             raise ValueError(f"not a bijection on 0..{self.n - 1}: {image!r}")
 
-    @classmethod
-    def identity(cls, n: int) -> "PermMap":
-        return cls(n, tuple(range(n)))
-
     def __call__(self, i: int) -> int:
         return self.image[i]
 

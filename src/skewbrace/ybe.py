@@ -8,13 +8,14 @@ an n x n table of output pairs. The braid-style equation checked here is
 with the rightmost factor applied first. That composition order is the one
 convention in this package most likely to be implemented backwards, so two
 independent evaluators are provided: :func:`check_ybe` walks each triple
-stepwise, while :func:`check_ybe_materialized` builds the six factor maps on
+stepwise, while :func:`check_ybe_materialized` builds the two factor maps on
 B^3 explicitly and composes them as lookup tables. They must always agree.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterator
 
 from .braces import (
@@ -24,7 +25,7 @@ from .braces import (
     _require_compatible_carriers,
     _sigma_tau_tables,
 )
-from .groups import _cut_int, _load_table_fields, _Record
+from .groups import _compose, _cut_int, _load_table_fields, _Record
 
 
 class YbeMap(_Record):
@@ -95,37 +96,26 @@ def check_ybe(rmap: YbeMap) -> CheckResult:
 def check_ybe_materialized(rmap: YbeMap) -> CheckResult:
     """Independent evaluator: composes explicit maps on B^3.
 
-    Builds (R x id) and (id x R) as flat lookup tables over encoded triples
-    and composes them rightmost-first, then compares the two composites
-    entrywise. Triples are encoded so index order equals lexicographic order.
+    R is one flat table on encoded pairs, pairs[a*n + b] = first*n + second,
+    and the triple (a, b, c) is encoded as (a*n + b)*n + c, so index order is
+    lexicographic order. (R x id) sends p*n + c to pairs[p]*n + c: each pair
+    image v expands to v*n .. v*n + n - 1. (id x R) sends a*n^2 + p to
+    a*n^2 + pairs[p]: one shifted copy of pairs per a. Both sides are composed
+    rightmost-first by groups._compose and compared whole; only if they
+    differ is the first differing triple decoded as the witness.
     """
     n = rmap.n
-    r = rmap.r
-    size = n * n * n
-    r_x_id = [0] * size
-    id_x_r = [0] * size
-    idx = 0
-    for a in range(n):
-        for b in range(n):
-            d, e = r[a][b]
-            left_base = (d * n + e) * n
-            for c in range(n):
-                r_x_id[idx] = left_base + c
-                q, rr = r[b][c]
-                id_x_r[idx] = (a * n + q) * n + rr
-                idx += 1
-
-    def compose(outer: list[int], inner: list[int]) -> list[int]:
-        return [outer[i] for i in inner]
-
-    lhs = compose(r_x_id, compose(id_x_r, r_x_id))
-    rhs = compose(id_x_r, compose(r_x_id, id_x_r))
-    for i in range(size):
-        if lhs[i] != rhs[i]:
-            a, rest = divmod(i, n * n)
-            b, c = divmod(rest, n)
-            return CheckResult(False, (a, b, c))
-    return CheckResult(True)
+    nn = n * n
+    pairs = [f * n + s for row in rmap.r for f, s in row]
+    r_x_id = tuple(chain.from_iterable(range(v * n, v * n + n) for v in pairs))
+    id_x_r = [base + v for base in range(0, nn * n, nn) for v in pairs]
+    lhs = _compose(r_x_id, _compose(id_x_r, r_x_id))
+    rhs = _compose(id_x_r, _compose(r_x_id, id_x_r))
+    if lhs == rhs:
+        return CheckResult(True)
+    i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+    a, rest = divmod(i, nn)
+    return CheckResult(False, (a, *divmod(rest, n)))
 
 
 def check_nondegenerate(rmap: YbeMap) -> bool:

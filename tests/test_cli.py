@@ -305,6 +305,12 @@ DIGITS_4000 = "9" * 4_000
 DIGITS_5000 = "9" * 5_000
 
 
+#: What each command reports for JSON that is not an object.
+NOT_AN_OBJECT = dict.fromkeys(
+    ["verify", "maps", "r-map"], 'expected an object with fields "n", "dot" and "circ"'
+) | {"check-ybe": 'expected JSON with an "r" field or "dot"/"circ" fields'}
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
@@ -375,16 +381,25 @@ DIGITS_5000 = "9" * 5_000
             "an integer in the JSON has more than 4300 digits",
             id="dot cell of 5000 digits",
         ),
+        pytest.param("[1, 2]", NOT_AN_OBJECT, id="JSON array"),
+        pytest.param(" \n\t[[0]]", NOT_AN_OBJECT, id="JSON array after whitespace"),
+        pytest.param(
+            "\ufeff" + json.dumps({"n": 1, "dot": [[0]], "circ": [[0]]}),
+            "invalid JSON: Unexpected UTF-8 BOM",
+            id="JSON object after a byte-order mark",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "check-ybe", "maps", "r-map"])
 def test_malformed_brace_json_exits_2(command, payload, message, tmp_path, capsys):
-    """`payload` is the JSON text itself, or an object to encode."""
+    """`payload` is the JSON text itself, or an object to encode; `message`
+    is the expected text, or a dict of it by command."""
     path = tmp_path / "bad.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
-    assert message in err
+    assert (message[command] if isinstance(message, dict) else message) in err
+    assert "table blocks" not in err
     assert len(err) < 200
     assert "set_int_max_str_digits" not in err
 

@@ -72,6 +72,29 @@ PUBLIC_NAMES = [
 ]
 
 
+#: The deliberately doubled code of ROADMAP aim 2: each function must not
+#: name its twin's functions, so that one copy keeps checking the other.
+_ORACLE_AVOIDS = {
+    "enumerate_braces",
+    "enumerate_braces_on_group",
+    "enumerate_groups",
+    "_closure_tables",
+    "_latin_rows",
+    "_group_reps",
+    "_group_classes",
+    "_cyclic_extensions",
+}
+TWINS = {
+    "check_ybe_materialized": {"ybe_violations", "check_ybe"},
+    "ybe_violations": {"check_ybe_materialized"},
+    "_canonical_brace_brute_force": {"canonical_brace", "_relabel", "_relabels_below", "_compose"},
+    "_dedup_pairwise": {"_dedup_by_aut_orbit", "_automorphism_images", "automorphisms"},
+    "oracle_enumerate": _ORACLE_AVOIDS,
+    "_naive_tables": _ORACLE_AVOIDS,
+    "_naive_latin_squares": _ORACLE_AVOIDS,
+}
+
+
 def _imported_names(tree):
     """Each name an import statement binds, with its line number."""
     for node in ast.walk(tree):
@@ -102,3 +125,16 @@ def test_public_names_are_pinned():
     assert sb.__all__ == PUBLIC_NAMES
     assert len(set(sb.__all__)) == len(sb.__all__)
     assert [name for name in sb.__all__ if not hasattr(sb, name)] == []
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_twins_do_not_reference_each_other(name):
+    [function] = [
+        node
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    referenced = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+    referenced |= {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
+    assert referenced & TWINS[name] == set()

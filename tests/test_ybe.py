@@ -89,18 +89,53 @@ def test_perturbed_swap_fails_with_witness():
     assert sb.check_ybe_materialized(rmap).witness == (0, 0, 0)
 
 
-def test_evaluators_agree_on_random_maps():
+def _product_table(t1, t2):
+    """Cayley table of the direct product; (a1, a2) is element a1 * n2 + a2."""
+    n2 = len(t2)
+    n = len(t1) * n2
+    return tuple(
+        tuple(t1[a // n2][b // n2] * n2 + t2[a % n2][b % n2] for b in range(n))
+        for a in range(n)
+    )
+
+
+def _product_rmaps(rng, factors, shapes):
+    """For each pair of factor orders, the R-map of the direct product of two
+    raw catalog braces, and the same map with 8n of its entries changed."""
+    for o1, o2 in shapes:
+        b1, b2 = rng.choice(factors[o1]), rng.choice(factors[o2])
+        n = o1 * o2
+        brace = sb.SkewBrace(
+            sb.GroupTable(n, _product_table(b1.dot.table, b2.dot.table)),
+            sb.GroupTable(n, _product_table(b1.circ.table, b2.circ.table)),
+        )
+        rmap = sb.build_r(brace)
+        yield rmap
+        rows = [list(row) for row in rmap.r]
+        for cell in rng.sample(range(n * n), 8 * n):
+            a, b = divmod(cell, n)
+            f, s = rows[a][b]
+            rows[a][b] = ((f + rng.randrange(n)) % n, (s + rng.randrange(1, n)) % n)
+        yield YbeMap(n, rows)
+
+
+def test_evaluators_agree_on_random_maps(raw_catalogs, raw_catalog_8):
     rng = random.Random(404)
-    for n in (1, 2, 3, 4):
-        for _ in range(30):
-            rows = tuple(
-                tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n))
-                for _ in range(n)
-            )
-            rmap = YbeMap(n, rows)
-            step = sb.check_ybe(rmap)
-            mat = sb.check_ybe_materialized(rmap)
-            assert (step.ok, step.witness) == (mat.ok, mat.witness)
+    maps = [
+        YbeMap(n, tuple(tuple((rng.randrange(n), rng.randrange(n)) for _ in range(n)) for _ in range(n)))
+        for n in (1, 2, 3, 4)
+        for _ in range(30)
+    ]
+    # Above order 8: products of orders 16 and 64, solutions and perturbed.
+    factors = {2: raw_catalogs[2].braces, 4: raw_catalogs[4].braces, 8: raw_catalog_8.braces}
+    maps += _product_rmaps(rng, factors, [(2, 8), (4, 4), (8, 8)])
+    large = []
+    for rmap in maps:
+        step = sb.check_ybe(rmap)
+        assert sb.check_ybe_materialized(rmap) == step
+        if rmap.n > 8:
+            large.append((rmap.n, step.ok))
+    assert large == [(16, True), (16, False), (16, True), (16, False), (64, True), (64, False)]
 
 
 def test_nondegenerate():
