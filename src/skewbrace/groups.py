@@ -502,13 +502,29 @@ def group_to_text(group: GroupTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _DuplicateKey(Exception):
+    """A key repeated in one JSON object; raised inside the decoder, so it is
+    not a ValueError that _decode_json would take for an oversized integer."""
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        raise _DuplicateKey(next(k for k, _ in pairs if k in seen or seen.add(k)))
+    return obj
+
+
 def _decode_json(text: str, error: type[ValueError]) -> object:
-    """Decode JSON text; raise `error` if it is not JSON or nests too deeply
-    for the decoder (which raises RecursionError, not a parse error)."""
+    """Decode JSON text; raise `error` if it is not JSON, repeats a key in an
+    object (json keeps the last value silently) or nests too deeply for the
+    decoder (which raises RecursionError, not a parse error)."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise error(f"invalid JSON: {exc}") from None
+    except _DuplicateKey as exc:
+        raise error(f"invalid JSON: duplicate key {_quote(exc.args[0])}") from None
     except RecursionError:
         raise error("invalid JSON: nested too deeply") from None
     except ValueError:

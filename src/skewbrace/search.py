@@ -23,25 +23,31 @@ any disagreement between the two is a bug, never a tolerance.
 Catalogs are canonically sorted (lexicographic on the concatenated
 circ-then-dot tables) so that both routes, and repeated runs, produce
 byte-identical output. Up-to-isomorphism entries are canonical forms: the
-lexicographically smallest (circ, dot) relabeling fixing 0, and each group
-class is represented by its lexicographically smallest table, the dot table
-of the canonical form of the trivial brace (g, g).
+lexicographically smallest (circ, dot) relabeling fixing 0. Each group class
+is represented by its lexicographically smallest table (_group_reps).
 
-Neither minimum is found by trying every relabeling. If p is the smallest
-prime dividing n, every group of order n has elements of order p and no
-smaller nontrivial order, so row 1 of a lexicographically smallest table is
-always the left translation with cycles (0 1 .. p-1)(p .. 2p-1)... A
-canonical brace therefore labels a circ element g of order p as 1 and
-g^j o h_i as i*p + j, branching only on g and the coset representatives h_i.
-The (n-1)! brute force is kept as the test oracle.
+A class minimum is not found by trying every relabeling. If p is the
+smallest prime dividing n, every group of order n has elements of order p and
+no smaller nontrivial order, so row 1 of a lexicographically smallest table
+is always the left translation with cycles (0 1 .. p-1)(p .. 2p-1)... The
+one-table search _lex_min_table therefore labels an element g of order p as
+1 and g^j h_i as i*p + j, branching only on g and the coset representatives
+h_i. A canonical brace needs no search of its own: circ is compared first, so
+its winning circ table is the minimum of circ's group class, and the
+relabelings reaching it are one isomorphism circ -> rep composed with each
+automorphism of rep. The dot table is relabeled once by that isomorphism and
+the form is the least of its images under Aut(rep). The (n-1)! brute force
+is kept as the test oracle.
 
 Before canonical forms are taken, the default dedup enumerates the Aut(dot)
 orbits of circ tables on each dot table: the first brace of an orbit in
 catalog order is its representative and puts every Aut(dot) image of its circ
 table into a set, so later members of the orbit cost one lookup. A table is
 relabeled as one byte string, by one gather of its cells and one
-bytes.translate of their values. Aut(dot) is computed once for the brace
-search and the dedup of a catalog (_automorphism_images).
+bytes.translate of their values; the dedup and the canonical forms share
+these relabelings, built once per group (_aut_relabelings). Aut(dot) is
+computed once for the brace search, the dedup and the canonical forms of a
+catalog (_automorphism_images).
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from .groups import (
 )
 
 #: Largest order the production enumerators accept.
-MAX_ORDER = 12
+MAX_ORDER = 15
 #: Largest order all_group_tables accepts: each class of order n has
 #: (n-1)!/|Aut| labelled tables, 7,560 in all at order 9 and 108,864 at 10.
 ALL_TABLES_MAX_ORDER = 8
@@ -226,7 +232,7 @@ def _forced_row1(n: int) -> tuple[int, ...]:
     order of that element. With p the smallest prime dividing n, an element
     of order p exists and none has a smaller order > 1, so the smallest
     possible row 1 is the one with cycles (0 1 .. p-1)(p .. 2p-1)...
-    canonical_brace searches only labelings giving this row; the labelled
+    _lex_min_table searches only labelings giving this row; the labelled
     group route of the tests offers only this row for row 1.
     """
     p = _smallest_prime_factor(n)
@@ -259,11 +265,14 @@ def _class_representatives(
 
 @lru_cache(maxsize=8)
 def _automorphism_images(group: GroupTable) -> tuple[tuple[int, ...], ...]:
-    # Shared by the brace search and the dedup of a catalog. It also holds
-    # the groups N of _cyclic_extensions, but on a cold cache the (at most 5)
-    # dot groups go in last, so 8 slots keep them for the dedup: a cold
+    # Shared by the brace search and, through _aut_relabelings, the dedup
+    # and the canonical forms of a catalog. It also holds the groups N of
+    # _cyclic_extensions, but on a cold cache the (at most 5) dot groups go in
+    # last, so 8 slots keep them for the dedup: a cold
     # enumerate_braces(8, up_to_iso=True) has 9 misses and 5 hits, order 12
-    # has 12 misses and 7 hits.
+    # has 12 misses and 7 hits. The canonical forms ask for Aut(rep) of a
+    # dot group the dedup has already relabeled by: at orders 8 and 12,
+    # _aut_relabelings has 5 misses (5 of the hits here), then 47 and 38 hits.
     return tuple(perm.image for perm in automorphisms(group))
 
 
@@ -327,14 +336,9 @@ def _group_classes(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 @lru_cache(maxsize=None)
 def _group_reps(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The lexicographically smallest table of each group class of the
-    order, sorted: the dot table of the canonical form of the trivial brace
-    (g, g) on each table g of _group_classes. Only the requested order is
-    made canonical; the orders it is built from are not."""
-    forms = (
-        canonical_brace(SkewBrace(g, g)).dot.table
-        for g in (GroupTable(order, rows) for rows in _group_classes(order))
-    )
-    return tuple(sorted(forms))
+    order, sorted: _lex_min_table of each table of _group_classes. Only the
+    requested order is made canonical; the orders it is built from are not."""
+    return tuple(sorted(map(_lex_min_table, _group_classes(order))))
 
 
 def enumerate_groups(order: int) -> list[GroupTable]:
@@ -437,22 +441,21 @@ def _relabel(rows: Sequence[Sequence[int]], p: Sequence[int], q: Sequence[int]) 
 
 
 def _relabels_below(
-    tables: Sequence[Sequence[Sequence[int]]],
+    rows: Sequence[Sequence[int]],
     p: Sequence[int],
     q: Sequence[int],
-    best: Sequence[Sequence[Sequence[int]]],
+    best: Sequence[Sequence[int]],
 ) -> bool:
-    """True iff relabeling tables by p (inverse q) makes their concatenation
+    """True iff relabeling the table by p (inverse q) makes it
     lexicographically smaller than best.
 
     Rows are built one at a time and the comparison stops at the first row
     that differs, so a losing relabeling usually costs a row or two.
     """
-    for rows, best_rows in zip(tables, best):
-        for a, best_row in zip(q, best_rows):
-            row = _compose(p, _compose(rows[a], q))
-            if row != best_row:
-                return row < best_row
+    for a, best_row in zip(q, best):
+        row = _compose(p, _compose(rows[a], q))
+        if row != best_row:
+            return row < best_row
     return False
 
 
@@ -485,21 +488,19 @@ def _canonical_brace_brute_force(brace: SkewBrace) -> SkewBrace:
     return SkewBrace(GroupTable(n, best[1]), GroupTable(n, best[0]))
 
 
-def canonical_brace(brace: SkewBrace) -> SkewBrace:
-    """The lexicographically smallest (circ, dot) relabeling fixing 0.
+def _lex_min_table(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The lexicographically smallest relabeling fixing 0 of a group table.
 
-    The winning circ table has the forced row 1 (see _forced_row1), so only
+    The winning table has the forced row 1 (see _forced_row1), so only
     labelings of that shape are searched: with m the smallest prime dividing
-    n, a circ element g of order m gets label 1 and g^j o h_i gets label
-    i*m + j, where h_0 = 0 and each h_i lies outside the cosets <g> o h_k
-    labeled before it. A partial labeling is dropped as soon as the labeled
-    prefix of circ row 2 exceeds the best table so far.
+    n, an element g of order m gets label 1 and g^j h_i gets label i*m + j,
+    where h_0 = 0 and each h_i lies outside the cosets <g> h_k labeled before
+    it. A partial labeling is dropped as soon as the labeled prefix of row 2
+    exceeds the best table so far.
     """
-    n = brace.n
+    n = len(rows)
     if n == 1:
-        return brace
-    circ = brace.circ.table
-    tables = (circ, brace.dot.table)
+        return rows
     m = _smallest_prime_factor(n)
     best: tuple | None = None
     p: list[int | None] = [None] * n
@@ -510,8 +511,8 @@ def canonical_brace(brace: SkewBrace) -> SkewBrace:
         # is labeled; an unlabeled product gets a label >= labeled.
         if best is None or labeled <= 2:
             return False
-        best_row = best[0][2]
-        src = circ[q[2]]
+        best_row = best[2]
+        src = rows[q[2]]
         for b in range(labeled):
             v = p[src[q[b]]]
             if v is None:
@@ -523,8 +524,8 @@ def canonical_brace(brace: SkewBrace) -> SkewBrace:
     def extend(labeled: int, g_row: Sequence[int]) -> None:
         nonlocal best
         if labeled == n:
-            if best is None or _relabels_below(tables, p, q, best):  # type: ignore
-                best = tuple(_relabel(rows, p, q) for rows in tables)  # type: ignore
+            if best is None or _relabels_below(rows, p, q, best):  # type: ignore
+                best = _relabel(rows, p, q)  # type: ignore
             return
         if worse_prefix(labeled):
             return
@@ -540,12 +541,63 @@ def canonical_brace(brace: SkewBrace) -> SkewBrace:
             for j in range(labeled, labeled + m):
                 p[q[j]] = None
 
-    orders = _element_orders(circ)
+    orders = _element_orders(rows)
     for g in range(1, n):
         if orders[g] == m:
-            extend(0, circ[g])
+            extend(0, rows[g])
     assert best is not None
-    return SkewBrace(GroupTable(n, best[1]), GroupTable(n, best[0]))
+    return best
+
+
+def _byte_relabeling(p: Sequence[int]) -> tuple[Callable[[bytes], tuple], bytes]:
+    """The relabeling by p of a flat table (its n*n cells row by row, n > 1,
+    entries below 256) as (gather, p_table): bytes(gather(flat)).translate(
+    p_table) holds p[flat[a*n + b]] in cell p[a]*n + p[b].
+
+    With q the inverse of p, cell q[a]*n + q[b] moves to cell a*n + b and its
+    value v becomes p[v]: one gather and one bytes.translate, both in C.
+    """
+    n = len(p)
+    q = sorted(range(n), key=p.__getitem__)
+    starts = [a * n for a in q]
+    return itemgetter(*[start + b for start in starts for b in q]), bytes(p).ljust(256, b"\0")
+
+
+@lru_cache(maxsize=16)
+def _aut_relabelings(
+    rows: tuple[tuple[int, ...], ...],
+) -> tuple[tuple[Callable[[bytes], tuple], bytes], ...]:
+    # _byte_relabeling of every automorphism of the group of the table but
+    # the identity (the first of the sorted Aut), which leaves a table as it
+    # is and would build a single-index itemgetter at order 1.
+    group = GroupTable(len(rows), rows)
+    return tuple(map(_byte_relabeling, _automorphism_images(group)[1:]))
+
+
+def canonical_brace(brace: SkewBrace) -> SkewBrace:
+    """The lexicographically smallest (circ, dot) relabeling fixing 0.
+
+    circ is compared first, so the winning circ table is the entry rep of
+    _group_reps for circ's group class (orders up to MAX_ORDER), and the
+    relabelings reaching it are one isomorphism phi: circ -> rep composed
+    with each automorphism of rep. dot is relabeled once by phi, as a flat
+    byte string, and the form takes the smallest of that string and its
+    images under Aut(rep) (_aut_relabelings).
+    """
+    n = brace.n
+    _check_order(n, MAX_ORDER)
+    if n == 1:
+        return brace
+    circ = brace.circ.table
+    sig = _signature(circ)
+    rep, phi = next(
+        (rep, phi) for rep in _group_reps(n) for phi in _table_isomorphisms(circ, rep, sig1=sig)
+    )
+    gather, p_table = _byte_relabeling(phi)
+    dot = bytes(gather(bytes(chain.from_iterable(brace.dot.table)))).translate(p_table)
+    best = min([dot, *(bytes(g(dot)).translate(t) for g, t in _aut_relabelings(rep))])
+    dot_rows = tuple(tuple(best[start : start + n]) for start in range(0, n * n, n))
+    return SkewBrace(GroupTable(n, dot_rows), GroupTable(n, rep))
 
 
 def _dedup_by_aut_orbit(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
@@ -563,22 +615,12 @@ def _dedup_by_aut_orbit(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
         by_dot.setdefault(brace.dot.table, []).append(brace)
     reps: list[SkewBrace] = []
     for members in by_dot.values():
-        n = members[0].n
-        if n > 256:
-            # Entries may not fit a byte; the canonical forms below still
-            # merge isomorphic braces.
+        if members[0].n > 256:
+            # Entries may not fit a byte: every brace is left to the canonical
+            # forms below, which refuse orders above MAX_ORDER.
             reps.extend(members)
             continue
-        # Relabeling by p (inverse q) sends cell q[a]*n + q[b] of the flat
-        # circ table to cell a*n + b and its value v to p[v]: one gather and
-        # one bytes.translate. The identity, first of the sorted Aut(dot), is
-        # left out, so that order 1 builds no single-index itemgetter.
-        relabelings = []
-        for p in _automorphism_images(members[0].dot)[1:]:
-            q = sorted(range(n), key=p.__getitem__)
-            starts = [a * n for a in q]
-            gather = itemgetter(*[start + b for start in starts for b in q])
-            relabelings.append((gather, bytes(p).ljust(256, b"\0")))
+        relabelings = _aut_relabelings(members[0].dot.table)
         in_orbit: set[bytes] = set()
         for brace in members:
             flat = bytes(chain.from_iterable(brace.circ.table))

@@ -226,7 +226,7 @@ def test_enumerate_byte_identical_across_runs(tmp_path):
 
 
 def test_enumerate_order_too_large():
-    assert main(["enumerate", "--order", "13"]) == 2
+    assert main(["enumerate", "--order", "16"]) == 2
     assert main(["enumerate", "--order", "6", "--oracle"]) == 2
 
 
@@ -381,6 +381,22 @@ NOT_AN_OBJECT = dict.fromkeys(
             "an integer in the JSON has more than 4300 digits",
             id="dot cell of 5000 digits",
         ),
+        pytest.param(
+            '{"n": 2, "dot": [[0, 1], [1, 0]], "circ": [[0, 1], [1, 0]],'
+            ' "circ": [[0, 1], [1, 0]], "n": 2}',
+            "invalid JSON: duplicate key 'circ'",
+            id="circ and n given twice",
+        ),
+        pytest.param(
+            '{"n": 1, "dot": [[0]], "circ": [[0]], "meta": {"a": 1, "a": 2}}',
+            "invalid JSON: duplicate key 'a'",
+            id="key repeated in a nested object",
+        ),
+        pytest.param(
+            '{"n": 1, "dot": [[0]], "circ": [[0]], "%s": 0, "%s": 1}' % (LONG, LONG),
+            "invalid JSON: duplicate key 'aaa",
+            id="key of 100000 characters given twice",
+        ),
         pytest.param("[1, 2]", NOT_AN_OBJECT, id="JSON array"),
         pytest.param(" \n\t[[0]]", NOT_AN_OBJECT, id="JSON array after whitespace"),
         pytest.param(
@@ -532,6 +548,16 @@ def test_malformed_rmap_json_exits_2(r, n, message, tmp_path, capsys):
     assert message in err
     assert len(err) < 200
     assert "set_int_max_str_digits" not in err
+
+
+def test_rmap_json_with_a_repeated_key_exits_2(tmp_path, capsys):
+    """json keeps the last of two "r" fields; a repeated key is an input
+    error instead, whichever map it would have kept."""
+    path = tmp_path / "two_r.json"
+    r = json.dumps(SWAP_2_R)
+    path.write_text('{"n": 2, "r": %s, "r": %s}' % (r, r))
+    assert main(["check-ybe", str(path)]) == 2
+    assert "invalid JSON: duplicate key 'r'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

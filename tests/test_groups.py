@@ -286,6 +286,9 @@ def test_json_parser_rejections():
         parse_group_json('{"n": 2, "table": [null, null]}')
     with pytest.raises(sb.GroupTableError, match="must be integers, got 1.0"):
         parse_group_json('{"n": 2, "table": [[0, 1], [1.0, 0]]}')
+    # json would keep the second table, a valid one, and drop the first.
+    with pytest.raises(sb.GroupTableError, match="invalid JSON: duplicate key 'table'"):
+        parse_group_json('{"n": 2, "table": [[0, 1], [1, 1]], "table": [[0, 1], [1, 0]]}')
     with pytest.raises(sb.NotAssociativeError):
         parse_group_json(
             '{"n": 5, "table": %s}' % [[int(v) for v in row] for row in NONASSOC_5]

@@ -1,5 +1,7 @@
 """Group and brace enumeration, isomorphism, dedup, and catalog plumbing."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from skewbrace.search import (
     _group_classes,
     _group_reps,
     _latin_rows,
+    _lex_min_table,
     _naive_tables,
     brace_sort_key,
     deduplicate_catalog,
@@ -131,9 +134,12 @@ def test_oracle_agrees_with_search_order4():
 
 def test_order_bounds():
     with pytest.raises(sb.OrderTooLargeError):
-        sb.enumerate_braces(13)
+        sb.enumerate_braces(16)
     with pytest.raises(sb.OrderTooLargeError):
-        sb.enumerate_groups(13)
+        sb.enumerate_groups(16)
+    with pytest.raises(sb.OrderTooLargeError):
+        # Canonical forms are read off the class minima of _group_reps.
+        sb.canonical_brace(sb.trivial_brace(sb.cyclic_group(16)))
     with pytest.raises(sb.OrderTooLargeError):
         sb.all_group_tables(9)
     with pytest.raises(sb.OrderTooLargeError):
@@ -289,6 +295,25 @@ def test_canonical_brace_matches_brute_force_order8_sample(raw_catalog_8):
                 assert sb.canonical_brace(_relabeled(brace, rng)) == expected
 
 
+@pytest.mark.parametrize("order", [12, 14])
+def test_canonical_brace_above_the_brute_force(order):
+    """Beyond the brute force's reach the canonical forms are checked by the
+    isomorphism test, which searches brace isomorphisms on its own: each form
+    is isomorphic to its brace, three random relabelings of a brace give the
+    same form, and the forms of the catalog are pairwise non-isomorphic."""
+    rng = random.Random(order)
+    raw = sb.enumerate_braces(order).braces
+    for brace in raw:
+        form = sb.canonical_brace(brace)
+        assert sb.brace_isomorphic(brace, form)
+        for _ in range(3):
+            assert sb.canonical_brace(_relabeled(brace, rng)) == form
+    forms = deduplicate_catalog(sb.BraceCatalog(order, raw, False)).braces
+    for i, b1 in enumerate(forms):
+        for b2 in forms[i + 1 :]:
+            assert not sb.brace_isomorphic(b1, b2)
+
+
 def test_forced_row1_shape():
     assert _forced_row1(2) == (1, 0)
     assert _forced_row1(7) == (1, 2, 3, 4, 5, 6, 0)
@@ -316,6 +341,30 @@ def test_seeded_group_reps_match_all_tables(n):
         assert all(rows[1] == _forced_row1(n) for rows in _group_reps(n))
 
 
+#: sha256 of the JSON of [_group_reps(n) for n in 1..12]. The class minima
+#: are the dot tables of the canonical forms of the braces (g, g), and every
+#: catalog pin rests on them: a new way of finding them must give these bytes.
+GROUP_REPS_SHA256 = "1726b4b89d971c589ff1771a6a4e4a8b1f2f0f6e0f9fc29a4dfc48ddb22ea3d2"
+
+
+def test_group_reps_pinned():
+    reps = json.dumps([_group_reps(n) for n in range(1, 13)], separators=(",", ":"))
+    assert hashlib.sha256(reps.encode()).hexdigest() == GROUP_REPS_SHA256
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_lex_min_table_matches_brute_force(n):
+    """The one-table search gives the dot table of the brute-force canonical
+    form of (g, g), on the unlabelled tables of _group_classes and on a
+    random relabeling of each."""
+    rng = random.Random(n)
+    for rows in _group_classes(n):
+        brace = sb.trivial_brace(sb.GroupTable(n, rows))
+        expected = _canonical_brace_brute_force(brace).dot.table
+        assert _lex_min_table(rows) == expected
+        assert _lex_min_table(_relabeled(brace, rng).dot.table) == expected
+
+
 def test_group_class_counts_match_oeis_a000001():
     """The number of groups of each order 1-16 (OEIS A000001), counted
     before canonical forms are taken."""
@@ -334,7 +383,8 @@ def test_order_12_catalog_builds_no_labelled_group_tables(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "order, raw, iso", [(9, 12, 4), (10, 14, 6), (11, 1, 1), (12, 116, 38)]
+    "order, raw, iso",
+    [(9, 12, 4), (10, 14, 6), (11, 1, 1), (12, 116, 38), (13, 1, 1), (14, 18, 6), (15, 1, 1)],
 )
 def test_counts_above_order_8(order, raw, iso):
     """Up to isomorphism these are the published counts (Guarnieri and

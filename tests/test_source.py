@@ -87,7 +87,17 @@ _ORACLE_AVOIDS = {
 TWINS = {
     "check_ybe_materialized": {"ybe_violations", "check_ybe"},
     "ybe_violations": {"check_ybe_materialized"},
-    "_canonical_brace_brute_force": {"canonical_brace", "_relabel", "_relabels_below", "_compose"},
+    "_canonical_brace_brute_force": {
+        "canonical_brace",
+        "_lex_min_table",
+        "_relabel",
+        "_relabels_below",
+        "_byte_relabeling",
+        "_aut_relabelings",
+        "_group_reps",
+        "_table_isomorphisms",
+        "_compose",
+    },
     "_dedup_pairwise": {"_dedup_by_aut_orbit", "_automorphism_images", "automorphisms"},
     "oracle_enumerate": _ORACLE_AVOIDS,
     "_naive_tables": _ORACLE_AVOIDS,
