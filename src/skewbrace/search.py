@@ -9,10 +9,10 @@ _closure_tables: it builds group tables by assigning left-translation rows
 and closing under composition (row a is the permutation x -> a.x, and
 row(a) . row(b) must equal row(a.b), so only generator rows are free), with
 row x drawn from the holomorph coset L_x Aut(dot), since the circ
-translation x o - is L_x sigma_x with sigma_x a dot automorphism. The same
-search with row a drawn from the Latin permutations sending 0 to a gives
-every labelled group table (all_group_tables, up to order 8); it is the
-test oracle of the group classes.
+translation x o - is L_x sigma_x with sigma_x a dot automorphism. The tests
+run the same search with row a drawn from the Latin permutations sending 0
+to a, which gives every labelled group table, as the oracle of the group
+classes.
 
 The oracle route is deliberately naive: generate every Latin square with
 identity row/column by cell-level backtracking, keep the associative ones,
@@ -36,8 +36,8 @@ h_i. A canonical brace needs no search of its own: circ is compared first, so
 its winning circ table is the minimum of circ's group class, and the
 relabelings reaching it are one isomorphism circ -> rep composed with each
 automorphism of rep. The dot table is relabeled once by that isomorphism and
-the form is the least of its images under Aut(rep). The (n-1)! brute force
-is kept as the test oracle.
+the form is the least of its images under Aut(rep). The tests check both
+searches against a brute force over all (n-1)! relabelings.
 
 Before canonical forms are taken, the default dedup enumerates the Aut(dot)
 orbits of circ tables on each dot table: the first brace of an orbit in
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -74,9 +74,6 @@ from .groups import (
 
 #: Largest order the production enumerators accept.
 MAX_ORDER = 15
-#: Largest order all_group_tables accepts: each class of order n has
-#: (n-1)!/|Aut| labelled tables, 7,560 in all at order 9 and 108,864 at 10.
-ALL_TABLES_MAX_ORDER = 8
 #: Largest order the naive oracle accepts (the double-table space above
 #: this is infeasible).
 ORACLE_MAX_ORDER = 5
@@ -190,59 +187,8 @@ def _closure_tables(
     yield from dfs()
 
 
-def _latin_rows(n: int, a: int, cols: list[set[int]]) -> list[tuple[int, ...]]:
-    """Every permutation of 0..n-1 sending 0 to a that uses no value already
-    in its column (cols[z] for column z)."""
-    out: list[tuple[int, ...]] = []
-    prefix = [a]
-    used = {a}
-
-    def extend(z: int) -> None:
-        if z == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(n):
-            if v not in used and v not in cols[z]:
-                prefix.append(v)
-                used.add(v)
-                extend(z + 1)
-                prefix.pop()
-                used.remove(v)
-
-    extend(1)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _all_tables(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    return tuple(
-        sorted(_closure_tables(order, lambda a, cols: _latin_rows(order, a, cols)))
-    )
-
-
 def _smallest_prime_factor(n: int) -> int:
     return next(d for d in range(2, n + 1) if n % d == 0)
-
-
-def _forced_row1(n: int) -> tuple[int, ...]:
-    """Row 1 of the lexicographically smallest table of any group of order
-    n > 1, and of the smallest circ table of any brace of order n.
-
-    Row 1 is the left translation by element 1, whose cycles all have the
-    order of that element. With p the smallest prime dividing n, an element
-    of order p exists and none has a smaller order > 1, so the smallest
-    possible row 1 is the one with cycles (0 1 .. p-1)(p .. 2p-1)...
-    _lex_min_table searches only labelings giving this row; the labelled
-    group route of the tests offers only this row for row 1.
-    """
-    p = _smallest_prime_factor(n)
-    return tuple(a + 1 if (a + 1) % p else a + 1 - p for a in range(n))
-
-
-def all_group_tables(order: int) -> list[GroupTable]:
-    """Every group table on 0..order-1 with identity 0, sorted (order <= 8)."""
-    _check_order(order, ALL_TABLES_MAX_ORDER)
-    return [GroupTable(order, rows) for rows in _all_tables(order)]
 
 
 def _class_representatives(
@@ -459,44 +405,16 @@ def _relabels_below(
     return False
 
 
-def _canonical_brace_brute_force(brace: SkewBrace) -> SkewBrace:
-    """canonical_brace by trying all (n-1)! relabelings; the test oracle.
-
-    It relabels cell by cell rather than through _relabel, so that it shares
-    no code with the route it checks.
-    """
-    n = brace.n
-    dot = brace.dot.table
-    circ = brace.circ.table
-    best: tuple | None = None
-    q = [0] * n
-
-    def relabel(rows: Sequence[Sequence[int]]) -> tuple:
-        return tuple(tuple(p[rows[q[a]][q[b]]] for b in range(n)) for a in range(n))
-
-    for tail in permutations(range(1, n)):
-        p = (0,) + tail
-        for i, v in enumerate(p):
-            q[v] = i
-        cand_circ = relabel(circ)
-        if best is not None and cand_circ > best[0]:
-            continue
-        cand = (cand_circ, relabel(dot))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return SkewBrace(GroupTable(n, best[1]), GroupTable(n, best[0]))
-
-
 def _lex_min_table(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """The lexicographically smallest relabeling fixing 0 of a group table.
 
-    The winning table has the forced row 1 (see _forced_row1), so only
-    labelings of that shape are searched: with m the smallest prime dividing
-    n, an element g of order m gets label 1 and g^j h_i gets label i*m + j,
-    where h_0 = 0 and each h_i lies outside the cosets <g> h_k labeled before
-    it. A partial labeling is dropped as soon as the labeled prefix of row 2
-    exceeds the best table so far.
+    With m the smallest prime dividing n, row 1 of the winning table is the
+    translation with cycles (0 1 .. m-1)(m .. 2m-1)... (see the module
+    docstring), so only labelings of that shape are searched: an element g
+    of order m gets label 1 and g^j h_i gets label i*m + j, where h_0 = 0 and
+    each h_i lies outside the cosets <g> h_k labeled before it. A partial
+    labeling is dropped as soon as the labeled prefix of row 2 exceeds the
+    best table so far.
     """
     n = len(rows)
     if n == 1:
@@ -615,11 +533,6 @@ def _dedup_by_aut_orbit(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
         by_dot.setdefault(brace.dot.table, []).append(brace)
     reps: list[SkewBrace] = []
     for members in by_dot.values():
-        if members[0].n > 256:
-            # Entries may not fit a byte: every brace is left to the canonical
-            # forms below, which refuse orders above MAX_ORDER.
-            reps.extend(members)
-            continue
         relabelings = _aut_relabelings(members[0].dot.table)
         in_orbit: set[bytes] = set()
         for brace in members:
@@ -650,10 +563,14 @@ def deduplicate_catalog(catalog: BraceCatalog, pairwise: bool = False) -> BraceC
 
     The default route groups circ tables into Aut(dot) orbits; the pairwise
     route runs brute-force isomorphism tests instead (used by the oracle so
-    the two enumerators do not share their class partitioning).
+    the two enumerators do not share their class partitioning). A brace above
+    MAX_ORDER raises OrderTooLargeError before either route searches.
     """
     if catalog.up_to_iso:
         return catalog
+    # Each brace, not catalog.order: a hand-built catalog may misstate it.
+    for brace in catalog.braces:
+        _check_order(brace.n, MAX_ORDER)
     dedup = _dedup_pairwise if pairwise else _dedup_by_aut_orbit
     return BraceCatalog(catalog.order, tuple(dedup(catalog.braces)), True)
 

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import _all_tables
 
 import skewbrace as sb
 from skewbrace.braces import brace_identity_suite
@@ -185,7 +186,7 @@ def test_identity_suite_reports_failures(z4):
 def test_compatibility_equivalence_sampling():
     rng = random.Random(11)
     for order in (3, 4, 5):
-        tables = sb.all_group_tables(order)
+        tables = [sb.GroupTable(order, rows) for rows in _all_tables(order)]
         for _ in range(60):
             dot = rng.choice(tables)
             circ = rng.choice(tables)

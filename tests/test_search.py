@@ -5,18 +5,14 @@ import json
 import random
 
 import pytest
+from oracles import _all_tables, _canonical_brace_brute_force, _forced_row1
 
 import skewbrace as sb
 from skewbrace import search
 from skewbrace.search import (
-    _all_tables,
-    _canonical_brace_brute_force,
     _class_representatives,
-    _closure_tables,
-    _forced_row1,
     _group_classes,
     _group_reps,
-    _latin_rows,
     _lex_min_table,
     _naive_tables,
     brace_sort_key,
@@ -60,8 +56,7 @@ def test_enumerate_groups_order6_classes(s3):
 
 def test_all_group_tables_match_naive_generation():
     for n in range(1, 6):
-        closure_route = tuple(g.table for g in sb.all_group_tables(n))
-        assert closure_route == _naive_tables(n)
+        assert _all_tables(n) == _naive_tables(n)
 
 
 def test_group_isomorphic_basics(z4, v4):
@@ -141,8 +136,6 @@ def test_order_bounds():
         # Canonical forms are read off the class minima of _group_reps.
         sb.canonical_brace(sb.trivial_brace(sb.cyclic_group(16)))
     with pytest.raises(sb.OrderTooLargeError):
-        sb.all_group_tables(9)
-    with pytest.raises(sb.OrderTooLargeError):
         sb.oracle_enumerate(6)
     with pytest.raises(ValueError):
         sb.enumerate_braces(0)
@@ -217,12 +210,30 @@ def test_aut_computed_once_per_dot_group(monkeypatch):
     assert tuple(sorted(t for t in dots if len(t) == 8)) == _group_reps(8)
 
 
-def test_dedup_above_256_elements_skips_the_byte_orbits(monkeypatch):
-    """Above 256 elements a table does not fit bytes: every brace goes on to
-    its canonical form (stubbed here; at order 257 it takes seconds)."""
-    brace = sb.trivial_brace(sb.cyclic_group(257))
-    monkeypatch.setattr(search, "canonical_brace", lambda b: b)
-    assert search._dedup_by_aut_orbit([brace, brace]) == [brace]
+def test_dedup_above_max_order_fails_before_any_search(monkeypatch):
+    """Both dedup routes refuse a brace above MAX_ORDER before they compute
+    an Aut group or try an isomorphism, also when the catalog misstates its
+    order."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(search, "automorphisms", counting("aut", sb.automorphisms))
+    monkeypatch.setattr(search, "brace_isomorphic", counting("iso", sb.brace_isomorphic))
+    search._automorphism_images.cache_clear()
+    search._aut_relabelings.cache_clear()
+    brace = sb.trivial_brace(sb.cyclic_group(16))
+    for order in (16, 8):
+        catalog = sb.BraceCatalog(order, (brace, brace), False)
+        for pairwise in (False, True):
+            with pytest.raises(sb.OrderTooLargeError):
+                deduplicate_catalog(catalog, pairwise=pairwise)
+    assert calls == []
 
 
 def test_dedup_routes_agree(raw_catalogs):
@@ -321,20 +332,12 @@ def test_forced_row1_shape():
     assert _forced_row1(9) == (1, 2, 0, 4, 5, 3, 7, 8, 6)
 
 
-def _forced_row_tables(n):
-    """The labelled group tables of order n whose row 1 is the forced one,
-    which hold every class minimum: the test oracle for _group_reps."""
-    forced = _forced_row1(n) if n > 1 else None
-    rows_for = lambda a, cols: [forced] if a == 1 else _latin_rows(n, a, cols)
-    return list(_closure_tables(n, rows_for))
-
-
 @pytest.mark.parametrize("n", range(1, 11))
 def test_seeded_group_reps_match_all_tables(n):
     """The cyclic-extension route gives the class minima of the labelled
     route: of all labelled tables up to order 8, and of the tables with the
     forced row 1 up to order 10."""
-    assert _group_reps(n) == tuple(_class_representatives(_forced_row_tables(n)))
+    assert _group_reps(n) == tuple(_class_representatives(_all_tables(n, forced_row1=True)))
     if n <= 8:
         assert _group_reps(n) == tuple(_class_representatives(_all_tables(n)))
     if n > 1:
@@ -372,16 +375,6 @@ def test_group_class_counts_match_oeis_a000001():
     assert counts == [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14]
 
 
-def test_order_12_catalog_builds_no_labelled_group_tables(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("_latin_rows called")
-
-    monkeypatch.setattr(search, "_latin_rows", refuse)
-    _group_classes.cache_clear()
-    _group_reps.cache_clear()
-    assert len(sb.enumerate_braces(12, up_to_iso=True).braces) == 38
-
-
 @pytest.mark.parametrize(
     "order, raw, iso",
     [(9, 12, 4), (10, 14, 6), (11, 1, 1), (12, 116, 38), (13, 1, 1), (14, 18, 6), (15, 1, 1)],
@@ -401,7 +394,7 @@ def test_class_representatives_match_brute_force_minima(n):
     forms of the trivial braces (g, g), a route that shares no code with
     _class_representatives. Order 8 runs on the tables with the forced row
     1, which hold every class minimum, instead of all 2,760."""
-    tables = _all_tables(n) if n < 8 else _forced_row_tables(n)
+    tables = _all_tables(n) if n < 8 else _all_tables(n, forced_row1=True)
     minima = sorted(
         {
             _canonical_brace_brute_force(sb.trivial_brace(sb.GroupTable(n, rows))).dot.table
@@ -416,7 +409,7 @@ def test_class_representatives_match_brute_force_minima(n):
 def test_brace_search_matches_definition(n):
     """Above the oracle's orders, the brace search on each group g finds
     exactly the group tables t that pass the compatibility sweep with g."""
-    tables = sb.all_group_tables(n)
+    tables = [sb.GroupTable(n, rows) for rows in _all_tables(n)]
     for g in sb.enumerate_groups(n):
         expected = sorted(
             (sb.SkewBrace(g, t) for t in tables if sb.check_compatibility(g, t)),

@@ -1,8 +1,10 @@
 """Checks on the package source itself: no unused imports, a pinned public
 API, so that a deletion leaves no debris and a removed public name shows in
-the diff, and no syntax newer than the oldest Python the package supports."""
+the diff, no syntax newer than the oldest Python the package supports, and
+no test oracle in the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import skewbrace as sb
 
 PACKAGE = Path(sb.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ORACLES = Path(__file__).parent / "oracles.py"
 
 #: skewbrace.__all__, spelled out. Removing or renaming a public name must
 #: change this list, and the change is recorded with its replacement.
@@ -31,7 +34,6 @@ PUBLIC_NAMES = [
     "PermMap",
     "SkewBrace",
     "YbeMap",
-    "all_group_tables",
     "automorphisms",
     "brace_identity_suite",
     "brace_isomorphic",
@@ -74,6 +76,7 @@ PUBLIC_NAMES = [
 
 #: The deliberately doubled code of ROADMAP aim 2: each function must not
 #: name its twin's functions, so that one copy keeps checking the other.
+#: A twin that only the tests call lives in tests/oracles.py.
 _ORACLE_AVOIDS = {
     "enumerate_braces",
     "enumerate_braces_on_group",
@@ -141,10 +144,45 @@ def test_public_names_are_pinned():
 def test_twins_do_not_reference_each_other(name):
     [function] = [
         node
-        for path in MODULES
+        for path in [*MODULES, ORACLES]
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.FunctionDef) and node.name == name
     ]
     referenced = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
     referenced |= {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)}
     assert referenced & TWINS[name] == set()
+
+
+#: The labelled group route and the brute-force canonical form, which only
+#: the tests run; they live in tests/oracles.py.
+TEST_ONLY_NAMES = {
+    "_latin_rows",
+    "_all_tables",
+    "_forced_row1",
+    "all_group_tables",
+    "ALL_TABLES_MAX_ORDER",
+    "_canonical_brace_brute_force",
+}
+
+
+def test_package_holds_no_test_oracle():
+    """No package module defines, imports, calls, exports or documents a
+    test-only name: every identifier and every word of every string (so
+    __all__ entries and docstrings too) is checked."""
+    found = {}
+    for path in [*MODULES, PACKAGE / "__init__.py"]:
+        words = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                words.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                words.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                words.add(node.name)
+            elif isinstance(node, ast.alias):
+                words.update(filter(None, (node.name, node.asname)))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                words.update(re.findall(r"\w+", node.value))
+        if words & TEST_ONLY_NAMES:
+            found[path.name] = sorted(words & TEST_ONLY_NAMES)
+    assert found == {}
