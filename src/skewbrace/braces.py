@@ -17,8 +17,11 @@ which feed the Yang-Baxter map R(a, b) = (sigma_a(b), tau_b(a)) in
 Every identity checked here is swept exhaustively; witnesses are the
 lexicographically first failing tuple, with components ordered as the
 identity's variables read. The sweeps that involve sigma or tau read them
-from tables S[x][y] = sigma_x(y) and T[y][x] = tau_y(x), built once per
-sweep in O(n^2) time and memory.
+from tables S[x][y] = sigma_x(y) and T[y][x] = tau_y(x), built in O(n^2)
+time and memory once per (dot, circ) pair: _sigma_tau_tables keeps the last
+pair's tables and serves them again while both tables are the very objects
+(``is``) of that call, so the five sweeps of one verify, build_r and the
+sigma/tau permutations of one brace share a single build.
 
 The five n^3 sweeps check a row at a time on carriers of at most 256
 elements (groups._byte_table): for each x, both sides for all (y, z) are
@@ -181,18 +184,45 @@ def tau(brace: SkewBrace, y: int, x: int) -> int:
     return c[c[circ.inv[sigma(brace, x, y)]][x]][y]
 
 
-def _sigma_tau_tables(dot: GroupTable, circ: GroupTable) -> tuple[list[list[int]], list[list[int]]]:
-    """The tables S[x][y] = sigma_x(y) and T[y][x] = tau_y(x) of a pair."""
+#: The last (dot, circ, (S, T)) that _sigma_tau_tables built, or None.
+_last_sigma_tau: tuple[GroupTable, GroupTable, tuple] | None = None
+
+
+def _sigma_tau_tables(
+    dot: GroupTable, circ: GroupTable
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The tables S[x][y] = sigma_x(y) and T[y][x] = tau_y(x) of a pair.
+
+    The last result is kept and served again while both arguments are the
+    very objects of that call: the entry holds them, so their ids are not
+    reused, and a GroupTable is immutable, so the tables stay valid. S and T
+    are tuples of tuples, so no caller can change the shared result.
+    """
+    global _last_sigma_tau
+    last = _last_sigma_tau
+    if last is not None and last[0] is dot and last[1] is circ:
+        return last[2]
+    tables = _build_sigma_tau(dot, circ)
+    _last_sigma_tau = (dot, circ, tables)
+    return tables
+
+
+def _build_sigma_tau(
+    dot: GroupTable, circ: GroupTable
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     n = dot.n
     d, dinv, c, cinv = dot.table, dot.inv, circ.table, circ.inv
-    S = [[d[dinv[x]][v] for v in c[x]] for x in range(n)]
-    T = [[c[c[cinv[S[x][y]]][x]][y] for x in range(n)] for y in range(n)]
+    # Row x of S is row x^-1 of dot after row x of circ.
+    S = tuple([_compose(d[dinv[x]], c[x]) for x in range(n)])
+    T = tuple([tuple([c[c[cinv[S[x][y]]][x]][y] for x in range(n)]) for y in range(n)])
     return S, T
 
 
 def sigma_perm(brace: SkewBrace, x: int) -> PermMap:
-    """The full permutation y -> sigma_x(y); bijectivity is asserted."""
-    image = tuple(sigma(brace, x, y) for y in range(brace.n))
+    """The full permutation y -> sigma_x(y), row x of S; bijectivity is
+    asserted."""
+    brace.dot._check_element(x)
+    image = _sigma_tau_tables(brace.dot, brace.circ)[0][x]
     try:
         return PermMap(brace.n, image)
     except ValueError:
@@ -200,8 +230,10 @@ def sigma_perm(brace: SkewBrace, x: int) -> PermMap:
 
 
 def tau_perm(brace: SkewBrace, y: int) -> PermMap:
-    """The full permutation x -> tau_y(x); bijectivity is asserted."""
-    image = tuple(tau(brace, y, x) for x in range(brace.n))
+    """The full permutation x -> tau_y(x), row y of T; bijectivity is
+    asserted."""
+    brace.circ._check_element(y)
+    image = _sigma_tau_tables(brace.dot, brace.circ)[1][y]
     try:
         return PermMap(brace.n, image)
     except ValueError:

@@ -287,11 +287,18 @@ def _group_reps(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(sorted(map(_lex_min_table, _group_classes(order))))
 
 
+@lru_cache(maxsize=None)
+def _rep_groups(order: int) -> tuple[GroupTable, ...]:
+    """The tables of _group_reps, each validated once as a GroupTable and
+    shared by enumerate_groups and canonical_brace."""
+    return tuple(GroupTable(order, rows) for rows in _group_reps(order))
+
+
 def enumerate_groups(order: int) -> list[GroupTable]:
     """All groups of the given order up to isomorphism, one canonical table
     (lexicographically smallest relabeling fixing 0) per class, sorted."""
     _check_order(order, MAX_ORDER)
-    return [GroupTable(order, rows) for rows in _group_reps(order)]
+    return list(_rep_groups(order))
 
 
 def group_isomorphic(g1: GroupTable, g2: GroupTable) -> bool:
@@ -509,13 +516,15 @@ def canonical_brace(brace: SkewBrace) -> SkewBrace:
     circ = brace.circ.table
     sig = _signature(circ)
     rep, phi = next(
-        (rep, phi) for rep in _group_reps(n) for phi in _table_isomorphisms(circ, rep, sig1=sig)
+        (rep, phi)
+        for rep in _rep_groups(n)
+        for phi in _table_isomorphisms(circ, rep.table, sig1=sig)
     )
     gather, p_table = _byte_relabeling(phi)
     dot = bytes(gather(bytes(chain.from_iterable(brace.dot.table)))).translate(p_table)
-    best = min([dot, *(bytes(g(dot)).translate(t) for g, t in _aut_relabelings(rep))])
+    best = min([dot, *(bytes(g(dot)).translate(t) for g, t in _aut_relabelings(rep.table))])
     dot_rows = tuple(tuple(best[start : start + n]) for start in range(0, n * n, n))
-    return SkewBrace(GroupTable(n, dot_rows), GroupTable(n, rep))
+    return SkewBrace(GroupTable(n, dot_rows), rep)
 
 
 def _dedup_by_aut_orbit(raw: Sequence[SkewBrace]) -> list[SkewBrace]:

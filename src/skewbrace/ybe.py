@@ -44,14 +44,20 @@ class YbeMap(_Record):
         n = self.n
         if n < 1:
             raise ValueError(f"carrier size must be positive, got {_cut_int(n)}")
-        rows = tuple(tuple(tuple(pair) for pair in row) for row in self.r)
+        rows = tuple([tuple(map(tuple, row)) for row in self.r])
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError(f"map table must be {_cut_int(n)}x{_cut_int(n)}")
-        for row in rows:
-            for pair in row:
-                if len(pair) != 2 or not (0 <= pair[0] < n and 0 <= pair[1] < n):
-                    shown = ", ".join(map(_cut_int, pair))
-                    raise ValueError(f"output ({shown}) is not a pair in 0..{n - 1}")
+        # The shape and range checks run in C; the cell loop only runs to
+        # name the first bad pair.
+        pairs = tuple(chain.from_iterable(rows))
+        if not set(map(len, pairs)) <= {2} or not set(range(n)).issuperset(
+            chain.from_iterable(pairs)
+        ):
+            for row in rows:
+                for pair in row:
+                    if len(pair) != 2 or not (0 <= pair[0] < n and 0 <= pair[1] < n):
+                        shown = ", ".join(map(_cut_int, pair))
+                        raise ValueError(f"output ({shown}) is not a pair in 0..{n - 1}")
         object.__setattr__(self, "r", rows)
 
 
@@ -59,7 +65,8 @@ def build_r(brace: SkewBrace) -> YbeMap:
     """R(a, b) = (sigma_a(b), tau_b(a)) for all pairs."""
     n = brace.n
     S, T = _sigma_tau_tables(brace.dot, brace.circ)
-    return YbeMap(n, [[(S[a][b], T[b][a]) for b in range(n)] for a in range(n)])
+    # Row a pairs row a of S with column a of T.
+    return YbeMap(n, tuple(map(tuple, map(zip, S, zip(*T)))))
 
 
 def swap_map(n: int) -> YbeMap:
@@ -109,8 +116,11 @@ def check_ybe_materialized(rmap: YbeMap) -> CheckResult:
     pairs = [f * n + s for row in rmap.r for f, s in row]
     r_x_id = tuple(chain.from_iterable(range(v * n, v * n + n) for v in pairs))
     id_x_r = [base + v for base in range(0, nn * n, nn) for v in pairs]
-    lhs = _compose(r_x_id, _compose(id_x_r, r_x_id))
-    rhs = _compose(id_x_r, _compose(r_x_id, id_x_r))
+    # (R x id)(id x R) is the shared middle: lhs = AB after (R x id),
+    # rhs = (id x R) after AB.
+    ab = _compose(r_x_id, id_x_r)
+    lhs = _compose(ab, r_x_id)
+    rhs = _compose(id_x_r, ab)
     if lhs == rhs:
         return CheckResult(True)
     i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)

@@ -138,6 +138,15 @@ def test_sigma_tau_range_checks(xor_brace):
         sb.tau(xor_brace, 0, 4)
 
 
+@pytest.mark.parametrize("perm", [sb.sigma_perm, sb.tau_perm])
+@pytest.mark.parametrize("element", [-1, 4])
+def test_perm_range_checks(xor_brace, perm, element):
+    """sigma_perm and tau_perm read rows of the shared tables, where -1
+    would silently pick the last row; they still refuse it."""
+    with pytest.raises(sb.OutOfRangeError, match=f"value {element} is outside 0..3"):
+        perm(xor_brace, element)
+
+
 def test_inverse_product_worked_example(xor_brace):
     # a = b = 1: lhs = 3 . (1 o 3) . 3 = 3 + 2 + 3 = 0, rhs = (1 o 1)^-1 = 0
     dot, circ = xor_brace.dot, xor_brace.circ

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import skewbrace as sb
-from skewbrace import cli
+from skewbrace import braces, cli
 from skewbrace.braces import brace_to_json, brace_to_text
 from skewbrace.cli import main
 
@@ -108,6 +108,38 @@ def test_maps_single_element(xor_file, capsys):
 
 def test_maps_out_of_range_exits_2(xor_file):
     assert main(["maps", xor_file, "--element", "7"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{brace}"],
+        ["verify", "{pair}"],
+        ["verify", "{pair}", "--all-witnesses"],
+        ["maps", "{brace}"],
+        ["maps", "{brace}", "--format", "json"],
+        ["r-map", "{brace}"],
+        ["check-ybe", "{brace}"],
+    ],
+)
+def test_one_sigma_tau_build_per_command(argv, tmp_path, monkeypatch):
+    """verify (five sweeps read S and T), maps (2n permutations) and r-map
+    each build the sigma/tau tables of the file's pair once."""
+    brace = tmp_path / "brace.json"
+    brace.write_text(XOR_BRACE_JSON)
+    pair = tmp_path / "pair.json"
+    pair.write_text(BAD_PAIR_JSON)
+    builds = []
+    build = braces._build_sigma_tau
+
+    def counted(dot, circ):
+        builds.append((dot, circ))
+        return build(dot, circ)
+
+    monkeypatch.setattr(braces, "_build_sigma_tau", counted)
+    code = main([arg.format(brace=brace, pair=pair) for arg in argv])
+    assert code == (1 if "{pair}" in argv else 0)
+    assert len(builds) == 1
 
 
 def test_maps_json_format(xor_file, capsys):

@@ -257,8 +257,8 @@ def test_table_sweeps_match_per_definition_references(groups_by_order, catalogs,
     for sweep in PAIR_SWEEPS:
         assert list(sweep(dot, circ)) == list(REFERENCES[sweep](dot, circ)), sweep.__name__
     S, T = braces._sigma_tau_tables(dot, circ)
-    assert S == [[_sigma_tables(dot, circ, x, y) for y in range(n)] for x in range(n)]
-    assert T == [[_tau_tables(dot, circ, y, x) for x in range(n)] for y in range(n)]
+    assert S == tuple(tuple(_sigma_tables(dot, circ, x, y) for y in range(n)) for x in range(n))
+    assert T == tuple(tuple(_tau_tables(dot, circ, y, x) for x in range(n)) for y in range(n))
     r = _ref_r(dot, circ)
     assert list(ybe_violations(r)) == list(_ref_ybe_violations(r))
     if sb.check_compatibility(dot, circ).ok:
@@ -288,6 +288,51 @@ def test_mixed_pairs_pass_at_some_x_and_fail_at_others(raw_catalog_8):
         braces.sigma_twisted_product_violations,
         braces.sigma_automorphism_violations,
     }
+
+
+def test_interleaved_sweeps_read_their_own_pairs_tables(raw_catalog_8):
+    """The sigma/tau tables of the last pair are served again only to the
+    very objects of that call. Sweeps advanced in turn on a brace and on a
+    pair that is not a brace, whose dot is an equal but distinct copy of
+    the brace's dot, each yield their reference's
+    witnesses; so do sigma_perm, tau_perm and build_r called in turn on the
+    brace and on another brace with the copied dot."""
+    braces_8 = raw_catalog_8.braces
+    rng = random.Random(19)
+    for _ in range(6):
+        b1 = rng.choice(braces_8)
+        b2 = rng.choice([b for b in braces_8 if not sb.check_compatibility(b1.dot, b.circ)])
+        b3 = rng.choice([b for b in braces_8 if b.dot == b1.dot and b.circ != b1.circ])
+        copy_dot = sb.GroupTable(8, b1.dot.table)
+        assert copy_dot == b1.dot and copy_dot is not b1.dot
+        pairs = [(b1.dot, b1.circ), (copy_dot, b2.circ)]
+        sweeps = [(sweep, pair, sweep(*pair)) for sweep in PAIR_SWEEPS for pair in pairs]
+        seen = [[] for _ in sweeps]
+        live = list(range(len(sweeps)))
+        while live:
+            for i in list(live):
+                witness = next(sweeps[i][2], None)
+                if witness is None:
+                    live.remove(i)
+                else:
+                    seen[i].append(witness)
+        for (sweep, pair, _), witnesses in zip(sweeps, seen):
+            assert witnesses == list(REFERENCES[sweep](*pair)), sweep.__name__
+        # sigma_homomorphism reads S and fails on the second pair (as
+        # compatibility does), so tables served from the first would show.
+        assert seen[2 * PAIR_SWEEPS.index(braces.sigma_homomorphism_violations) + 1]
+        both = [b1, sb.SkewBrace(copy_dot, b3.circ)]
+        for x in range(8):
+            for brace in both:
+                dot, circ = brace.dot, brace.circ
+                assert sb.sigma_perm(brace, x).image == tuple(
+                    _sigma_tables(dot, circ, x, y) for y in range(8)
+                )
+                assert sb.tau_perm(brace, x).image == tuple(
+                    _tau_tables(dot, circ, x, y) for y in range(8)
+                )
+        for brace in both * 2:
+            assert sb.build_r(brace) == _ref_r(brace.dot, brace.circ)
 
 
 @settings(max_examples=150)

@@ -84,6 +84,7 @@ _ORACLE_AVOIDS = {
     "_closure_tables",
     "_latin_rows",
     "_group_reps",
+    "_rep_groups",
     "_group_classes",
     "_cyclic_extensions",
 }
@@ -98,6 +99,7 @@ TWINS = {
         "_byte_relabeling",
         "_aut_relabelings",
         "_group_reps",
+        "_rep_groups",
         "_table_isomorphisms",
         "_compose",
     },

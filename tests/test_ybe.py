@@ -1,5 +1,6 @@
 """R-map construction, both Yang-Baxter evaluators, and export formats."""
 
+import json
 import random
 from itertools import product
 
@@ -196,6 +197,33 @@ def test_ybemap_validation():
         YbeMap(2, (((0, 0),),))
     with pytest.raises(ValueError, match="not a pair"):
         YbeMap(1, (((0, 0, 0),),))
+
+
+@pytest.mark.parametrize(
+    "n, r, message",
+    [
+        (2, [[[0, 0]]], "map table must be 2x2"),
+        (2, [[[0, 0], [1, 0]], [[0, 1]]], "map table must be 2x2"),
+        (1, [[[0, 0, 0]]], "output (0, 0, 0) is not a pair in 0..0"),
+        (2, [[[0, 0], [1, 0]], [[0], [1, 1]]], "output (0) is not a pair in 0..1"),
+        (2, [[[0, 2], [0, 0]], [[0, 0], [0, 0]]], "output (0, 2) is not a pair in 0..1"),
+        (2, [[[0, 0], [-1, 0]], [[0, 1], [1, 1]]], "output (-1, 0) is not a pair in 0..1"),
+        # The first bad pair in (a, b) order is named, whatever its kind.
+        (2, [[[0, 0], [1, 5]], [[0, 1, 0], [1, 1]]], "output (1, 5) is not a pair in 0..1"),
+    ],
+)
+def test_ybemap_messages(n, r, message):
+    """YbeMap checks shape and range in C; the message names the first bad
+    pair, for a direct construction and through parse_rmap_json (which
+    refuses a pair of another length itself)."""
+    with pytest.raises(ValueError) as exc:
+        YbeMap(n, r)
+    assert str(exc.value) == message
+    text = json.dumps({"n": n, "r": r})
+    if all(len(pair) == 2 for row in r for pair in row):
+        with pytest.raises(ValueError) as exc:
+            sb.parse_rmap_json(text)
+        assert str(exc.value) == message
 
 
 def test_rmap_json_round_trip(xor_brace):
