@@ -21,30 +21,34 @@ from tables S[x][y] = sigma_x(y) and T[y][x] = tau_y(x), built in O(n^2)
 time and memory once per (dot, circ) pair: _sigma_tau_tables keeps the last
 pair's tables and serves them again while both tables are the very objects
 (``is``) of that call, so the five sweeps of one verify, build_r and the
-sigma/tau permutations of one brace share a single build.
+tau permutations of one brace share a single build. sigma_perm, and
+tau_perm on a pair with no build, make their one row alone in O(n).
 
-The five n^3 sweeps check a row at a time on carriers of at most 256
-elements (groups._byte_table): for each x, both sides for all (y, z) are
-built as two byte strings by bytes.translate and row gathers, in C, and the
-cells of x are scanned, by the same loop as on larger carriers, only when
-the strings differ. An x whose strings agree has no witness, so every
-witness stream, --all-witnesses included, is the cell loop's own.
+The unit of every sweep is the failing row. For each x, both sides over all
+cells of x, (y, z) row-major for the five n^3 identities and b for the two
+n^2 ones, are built whole by row gathers in C, as byte strings on carriers
+of at most 256 elements and as tuples above (groups._row_form), and the
+sweep yields (x, lhs, rhs) whenever they differ. No cell is visited in
+Python: groups._witnesses turns failing rows back into witness tuples with
+compress, and the CLI formats a row's witness lines the same way.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Any, Callable, Iterator
+from itertools import groupby, repeat
+from operator import getitem
+from typing import Any, Callable, Iterator, Sequence
 
 import json
 
 from .groups import (
     GroupTable,
     PermMap,
-    _byte_table,
     _compose,
     _load_table_fields,
     _Record,
+    _row_form,
+    _witnesses,
     group_to_text,
     parse_group_text,
 )
@@ -89,43 +93,45 @@ def _require_compatible_carriers(a: Any, b: Any) -> None:
         raise CarrierMismatchError(f"carrier sizes differ: {a.n} vs {b.n}")
 
 
-def compatibility_violations(dot: GroupTable, circ: GroupTable) -> Iterator[tuple[int, int, int]]:
-    """Yield every (x, y, z) where x o (y.z) != (x o y) . x^-1 . (x o z)."""
+#: A failing row (x, lhs, rhs): both sides of an identity over every cell of
+#: x, in lexicographic order, as a byte string (n <= 256) or a tuple.
+Row = tuple[int, Sequence[int], Sequence[int]]
+
+
+def compatibility_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:
+    """Yield every row x where x o (y.z) != (x o y) . x^-1 . (x o z) for
+    some (y, z)."""
     _require_compatible_carriers(dot, circ)
     n = dot.n
-    d = dot.table
-    dinv = dot.inv
-    c = circ.table
-    packed = _byte_table(d)
-    if packed is not None:
-        flat, _, pads = packed
-        _, clines, cpads = _byte_table(c)
-        columns = tuple(zip(*d))
+    d, dinv, c = dot.table, dot.inv, circ.table
+    _, table, apply, join = _row_form(n)
+    flat, _, dmaps = table(d)
+    _, clines, cmaps = table(c)
+    columns = tuple(zip(*d))
     for x in range(n):
-        cx = c[x]
-        xi = dinv[x]
-        # Row y of the sides, as bytes over z: x o - after row y of dot,
-        # and row (x o y) . x^-1 of dot after x o -.
-        if packed is not None and flat.translate(cpads[x]) == b"".join(
-            map(clines[x].translate, _compose(pads, _compose(columns[xi], cx)))
-        ):
-            continue
-        for y in range(n):
-            left = d[d[cx[y]][xi]]
-            dy = d[y]
-            for z in range(n):
-                if cx[dy[z]] != left[cx[z]]:
-                    yield (x, y, z)
+        # Row y of the sides, over z: x o - after row y of dot, and row
+        # (x o y) . x^-1 of dot after x o -.
+        lhs = apply(flat, cmaps[x])
+        rhs = join(map(apply, repeat(clines[x]), _compose(dmaps, _compose(columns[dinv[x]], c[x]))))
+        if lhs != rhs:
+            yield x, lhs, rhs
 
 
 def check_compatibility(dot: GroupTable, circ: GroupTable) -> CheckResult:
     """Exhaustively test the compatibility condition over all n^3 triples."""
-    return _first(compatibility_violations(dot, circ))
+    return _check(compatibility_violations, dot, circ)
 
 
-def _first(violations: Iterator[tuple[int, ...]]) -> CheckResult:
-    witness = next(violations, None)
+def _first(witnesses: Iterator[tuple[int, ...]]) -> CheckResult:
+    witness = next(witnesses, None)
     return CheckResult(witness is None, witness)
+
+
+def _check(
+    sweep: Callable[[GroupTable, GroupTable], Iterator[Row]], dot: GroupTable, circ: GroupTable
+) -> CheckResult:
+    """The first witness of a row sweep on a pair."""
+    return _first(_witnesses(dot.n, sweep(dot, circ)))
 
 
 class SkewBrace(_Record):
@@ -146,9 +152,9 @@ class SkewBrace(_Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        witness = next(compatibility_violations(self.dot, self.circ), None)
-        if witness is not None:
-            raise NotABraceError(witness)
+        result = check_compatibility(self.dot, self.circ)
+        if not result:
+            raise NotABraceError(result.witness)
 
     @property
     def n(self) -> int:
@@ -188,6 +194,16 @@ def tau(brace: SkewBrace, y: int, x: int) -> int:
 _last_sigma_tau: tuple[GroupTable, GroupTable, tuple] | None = None
 
 
+def _built_sigma_tau(
+    dot: GroupTable, circ: GroupTable
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None:
+    """The tables _sigma_tau_tables last built, if they are this pair's."""
+    last = _last_sigma_tau
+    if last is not None and last[0] is dot and last[1] is circ:
+        return last[2]
+    return None
+
+
 def _sigma_tau_tables(
     dot: GroupTable, circ: GroupTable
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -199,11 +215,10 @@ def _sigma_tau_tables(
     are tuples of tuples, so no caller can change the shared result.
     """
     global _last_sigma_tau
-    last = _last_sigma_tau
-    if last is not None and last[0] is dot and last[1] is circ:
-        return last[2]
-    tables = _build_sigma_tau(dot, circ)
-    _last_sigma_tau = (dot, circ, tables)
+    tables = _built_sigma_tau(dot, circ)
+    if tables is None:
+        tables = _build_sigma_tau(dot, circ)
+        _last_sigma_tau = (dot, circ, tables)
     return tables
 
 
@@ -218,26 +233,34 @@ def _build_sigma_tau(
     return S, T
 
 
-def sigma_perm(brace: SkewBrace, x: int) -> PermMap:
-    """The full permutation y -> sigma_x(y), row x of S; bijectivity is
-    asserted."""
-    brace.dot._check_element(x)
-    image = _sigma_tau_tables(brace.dot, brace.circ)[0][x]
+def _perm(n: int, image: tuple[int, ...], name: str) -> PermMap:
     try:
-        return PermMap(brace.n, image)
+        return PermMap(n, image)
     except ValueError:
-        raise AssertionError(f"sigma_{x} is not a bijection: {image!r}") from None
+        raise AssertionError(f"{name} is not a bijection: {image!r}") from None
+
+
+def sigma_perm(brace: SkewBrace, x: int) -> PermMap:
+    """The full permutation y -> sigma_x(y), row x of S, built alone in O(n)
+    (row x^-1 of dot after row x of circ); bijectivity is asserted."""
+    dot = brace.dot
+    dot._check_element(x)
+    return _perm(brace.n, _compose(dot.table[dot.inv[x]], brace.circ.table[x]), f"sigma_{x}")
 
 
 def tau_perm(brace: SkewBrace, y: int) -> PermMap:
-    """The full permutation x -> tau_y(x), row y of T; bijectivity is
+    """The full permutation x -> tau_y(x), row y of T: read from the pair's
+    tables when they are built, else built alone in O(n); bijectivity is
     asserted."""
-    brace.circ._check_element(y)
-    image = _sigma_tau_tables(brace.dot, brace.circ)[1][y]
-    try:
-        return PermMap(brace.n, image)
-    except ValueError:
-        raise AssertionError(f"tau_{y} is not a bijection: {image!r}") from None
+    dot, circ = brace.dot, brace.circ
+    circ._check_element(y)
+    tables = _built_sigma_tau(dot, circ)
+    if tables is not None:
+        image = tables[1][y]
+    else:
+        d, dinv, c, cinv = dot.table, dot.inv, circ.table, circ.inv
+        image = tuple([c[c[cinv[d[dinv[x]][c[x][y]]]][x]][y] for x in range(brace.n)])
+    return _perm(brace.n, image, f"tau_{y}")
 
 
 # --- the identity suite -----------------------------------------------------
@@ -247,126 +270,109 @@ def tau_perm(brace: SkewBrace, y: int) -> PermMap:
 # pair that is not a brace at all.
 
 
-def inverse_product_violations(dot: GroupTable, circ: GroupTable) -> Iterator[tuple[int, int]]:
-    """Yield every (a, b) where a^-1 . (a o b^-1) . a^-1 != (a o b)^-1."""
+def inverse_product_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:
+    """Yield every row a where a^-1 . (a o b^-1) . a^-1 != (a o b)^-1 for
+    some b."""
     _require_compatible_carriers(dot, circ)
     n = dot.n
     d, dinv, c = dot.table, dot.inv, circ.table
+    _, table, apply, _ = _row_form(n)
+    _, clines, cmaps = table(c)
+    _, _, dmaps = table(d)
+    # Map u of the columns sends v to v . u; inv is b -> b^-1 as a line and
+    # as a map.
+    _, _, colmaps = table(tuple(zip(*d)))
+    _, (inv,), (invmap,) = table((dinv,))
     for a in range(n):
         ai = dinv[a]
-        for b in range(n):
-            lhs = d[d[ai][c[a][dinv[b]]]][ai]
-            if lhs != dinv[c[a][b]]:
-                yield (a, b)
+        lhs = apply(apply(apply(inv, cmaps[a]), dmaps[ai]), colmaps[ai])
+        rhs = apply(clines[a], invmap)
+        if lhs != rhs:
+            yield a, lhs, rhs
 
 
-def sigma_homomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator[tuple[int, int, int]]:
-    """Yield every (x, y, z) where sigma_{x o y}(z) != sigma_x(sigma_y(z))."""
+def sigma_homomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:
+    """Yield every row x where sigma_{x o y}(z) != sigma_x(sigma_y(z)) for
+    some (y, z)."""
     _require_compatible_carriers(dot, circ)
-    n = dot.n
     c = circ.table
     S, _ = _sigma_tau_tables(dot, circ)
-    packed = _byte_table(S)
-    if packed is not None:
-        flat, lines, pads = packed
-    for x in range(n):
-        sx, cx = S[x], c[x]
+    _, table, apply, join = _row_form(dot.n)
+    flat, lines, maps = table(S)
+    for x in range(dot.n):
         # Row y of the sides: sigma_{x o y}, and sigma_x after sigma_y.
-        if packed is not None and b"".join(_compose(lines, cx)) == flat.translate(pads[x]):
-            continue
-        for y in range(n):
-            sxy, sy = S[cx[y]], S[y]
-            for z in range(n):
-                if sxy[z] != sx[sy[z]]:
-                    yield (x, y, z)
+        lhs = join(_compose(lines, c[x]))
+        rhs = apply(flat, maps[x])
+        if lhs != rhs:
+            yield x, lhs, rhs
 
 
-def tau_antihomomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator[tuple[int, int, int]]:
-    """Yield every (x, y, z) where tau_{y o z}(x) != tau_z(tau_y(x))."""
+def tau_antihomomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:
+    """Yield every row x where tau_{y o z}(x) != tau_z(tau_y(x)) for some
+    (y, z)."""
     _require_compatible_carriers(dot, circ)
-    n = dot.n
-    c = circ.table
     _, T = _sigma_tau_tables(dot, circ)
-    packed = _byte_table(c)
-    if packed is not None:
-        flat = packed[0]
-        # Row u of the transpose of T is z -> tau_z(u).
-        _, lines, pads = _byte_table(tuple(zip(*T)))
-    for x in range(n):
+    _, table, apply, join = _row_form(dot.n)
+    flat = table(circ.table)[0]
+    # Row u of the transpose of T is z -> tau_z(u).
+    _, lines, maps = table(tuple(zip(*T)))
+    for x in range(dot.n):
         # Row y of the sides: w -> tau_w(x) after row y of circ, and row
         # tau_y(x) of the transpose.
-        if packed is not None and flat.translate(pads[x]) == b"".join(_compose(lines, lines[x])):
-            continue
-        tx = [T[w][x] for w in range(n)]
-        for y in range(n):
-            cy, tyx = c[y], tx[y]
-            for z in range(n):
-                if tx[cy[z]] != T[z][tyx]:
-                    yield (x, y, z)
+        lhs = apply(flat, maps[x])
+        rhs = join(_compose(lines, lines[x]))
+        if lhs != rhs:
+            yield x, lhs, rhs
 
 
-def sigma_twisted_product_violations(dot: GroupTable, circ: GroupTable) -> Iterator[tuple[int, int, int]]:
-    """Yield every (x, y, z) where sigma_x(y o z) != sigma_x(y) o sigma_{tau_y(x)}(z)."""
+def sigma_twisted_product_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:
+    """Yield every row x where sigma_x(y o z) != sigma_x(y) o
+    sigma_{tau_y(x)}(z) for some (y, z)."""
     _require_compatible_carriers(dot, circ)
-    n = dot.n
-    c = circ.table
     S, T = _sigma_tau_tables(dot, circ)
-    packed = _byte_table(c)
-    if packed is not None:
-        flat, _, cpads = packed
-        _, lines, pads = _byte_table(S)
-        columns = tuple(zip(*T))
-    for x in range(n):
-        sx = S[x]
+    _, table, apply, join = _row_form(dot.n)
+    flat, _, cmaps = table(circ.table)
+    _, lines, maps = table(S)
+    columns = tuple(zip(*T))
+    for x in range(dot.n):
         # Row y of the sides: sigma_x after row y of circ, and row
         # sigma_x(y) of circ after sigma_{tau_y(x)}.
-        if packed is not None and flat.translate(pads[x]) == b"".join(
-            map(bytes.translate, _compose(lines, columns[x]), _compose(cpads, sx))
-        ):
-            continue
-        for y in range(n):
-            cy, csxy, st = c[y], c[sx[y]], S[T[y][x]]
-            for z in range(n):
-                if sx[cy[z]] != csxy[st[z]]:
-                    yield (x, y, z)
+        lhs = apply(flat, maps[x])
+        rhs = join(map(apply, _compose(lines, columns[x]), _compose(cmaps, S[x])))
+        if lhs != rhs:
+            yield x, lhs, rhs
 
 
-def product_preservation_violations(dot: GroupTable, circ: GroupTable) -> Iterator[tuple[int, int]]:
-    """Yield every (x, y) where sigma_x(y) o tau_y(x) != x o y."""
+def product_preservation_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:
+    """Yield every row x where sigma_x(y) o tau_y(x) != x o y for some y."""
     _require_compatible_carriers(dot, circ)
-    n = dot.n
-    c = circ.table
     S, T = _sigma_tau_tables(dot, circ)
-    for x in range(n):
-        sx, cx = S[x], c[x]
-        for y in range(n):
-            if c[sx[y]][T[y][x]] != cx[y]:
-                yield (x, y)
+    line, table, _, _ = _row_form(dot.n)
+    _, clines, _ = table(circ.table)
+    columns = tuple(zip(*T))
+    for x in range(dot.n):
+        # Entry y of the left side: entry tau_y(x) of row sigma_x(y) of circ.
+        lhs = line(map(getitem, _compose(clines, S[x]), columns[x]))
+        rhs = clines[x]
+        if lhs != rhs:
+            yield x, lhs, rhs
 
 
-def sigma_automorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator[tuple[int, int, int]]:
-    """Yield every (x, y, z) where sigma_x(y . z) != sigma_x(y) . sigma_x(z)."""
+def sigma_automorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:
+    """Yield every row x where sigma_x(y . z) != sigma_x(y) . sigma_x(z) for
+    some (y, z)."""
     _require_compatible_carriers(dot, circ)
-    n = dot.n
-    d = dot.table
     S, _ = _sigma_tau_tables(dot, circ)
-    packed = _byte_table(d)
-    if packed is not None:
-        flat, _, dpads = packed
-        _, lines, pads = _byte_table(S)
-    for x in range(n):
-        sx = S[x]
+    _, table, apply, join = _row_form(dot.n)
+    flat, _, dmaps = table(dot.table)
+    _, lines, maps = table(S)
+    for x in range(dot.n):
         # Row y of the sides: sigma_x after row y of dot, and row
         # sigma_x(y) of dot after sigma_x.
-        if packed is not None and flat.translate(pads[x]) == b"".join(
-            map(lines[x].translate, _compose(dpads, sx))
-        ):
-            continue
-        for y in range(n):
-            dy, dsy = d[y], d[sx[y]]
-            for z in range(n):
-                if sx[dy[z]] != dsy[sx[z]]:
-                    yield (x, y, z)
+        lhs = apply(flat, maps[x])
+        rhs = join(map(apply, repeat(lines[x]), _compose(dmaps, S[x])))
+        if lhs != rhs:
+            yield x, lhs, rhs
 
 
 class IdentityReport(_Record):
@@ -380,8 +386,8 @@ class IdentityReport(_Record):
 
 
 #: The identity suite, in report order. Each entry is (label, generator of
-#: violation witnesses).
-IDENTITY_SUITE: tuple[tuple[str, Callable[[GroupTable, GroupTable], Iterator[tuple[int, ...]]]], ...] = (
+#: failing rows).
+IDENTITY_SUITE: tuple[tuple[str, Callable[[GroupTable, GroupTable], Iterator[Row]]], ...] = (
     ("compatibility", compatibility_violations),
     ("inverse product (Lemma 1)", inverse_product_violations),
     ("sigma homomorphism (Proposition 1)", sigma_homomorphism_violations),
@@ -398,9 +404,7 @@ def brace_identity_suite(dot: GroupTable, circ: GroupTable) -> list[IdentityRepo
     The pair does not have to be a brace; failing identities report their
     first witness.
     """
-    return [
-        IdentityReport(name, _first(gen(dot, circ))) for name, gen in IDENTITY_SUITE
-    ]
+    return [IdentityReport(name, _check(sweep, dot, circ)) for name, sweep in IDENTITY_SUITE]
 
 
 class EquivalenceResult(_Record):
@@ -428,7 +432,7 @@ def check_compatibility_equivalence(dot: GroupTable, circ: GroupTable) -> Equiva
     """
     return EquivalenceResult(
         check_compatibility(dot, circ),
-        _first(sigma_homomorphism_violations(dot, circ)),
+        _check(sigma_homomorphism_violations, dot, circ),
     )
 
 

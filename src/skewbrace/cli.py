@@ -15,7 +15,8 @@ import argparse
 import functools
 import sys
 import time
-from itertools import chain, islice
+from itertools import chain, compress, islice
+from operator import ne
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,13 +24,23 @@ from .braces import (
     IDENTITY_SUITE,
     BraceError,
     NotABraceError,
+    Row,
     SkewBrace,
+    _sigma_tau_tables,
     parse_brace_tables_json,
     parse_brace_tables_text,
     sigma_perm,
     tau_perm,
 )
-from .groups import GroupTable, _cut_int, _decimal, _decode_json, _is_decimal, _quote
+from .groups import (
+    GroupTable,
+    _cut_int,
+    _decimal,
+    _decode_json,
+    _is_decimal,
+    _quote,
+    _witnesses,
+)
 from .search import (
     catalog_to_json,
     deduplicate_catalog,
@@ -89,9 +100,10 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
-#: --all-witnesses output is written in blocks of this many lines: one write
-#: per block rather than per line, and small enough (about 60 kB) that peak
-#: memory does not grow with the number of witnesses.
+#: check-ybe --all-witnesses output is written in blocks of this many
+#: lines: one write per block rather than per line, and small enough (about
+#: 60 kB) that peak memory does not grow with the number of witnesses.
+#: verify writes one failing row per write instead (_print_rows).
 WITNESS_BLOCK_LINES = 1024
 
 
@@ -101,8 +113,9 @@ def _print_witnesses(
     """Print "<name>: FAIL witness=<tuple>" for `first` and then for every
     witness in `rest`, writing blocks of WITNESS_BLOCK_LINES lines.
 
-    Witnesses are pairs or triples of elements of a carrier of size `n`; each
-    line is one f-string over the decimal strings of 0..n-1, built once."""
+    Witnesses are pairs or triples of elements of a carrier of size `n`, one
+    per Yang-Baxter triple from the stepwise walk; each line is one f-string
+    over the decimal strings of 0..n-1, built once."""
     s = [str(v) for v in range(n)]
     head = f"{name}: FAIL witness=("
     if len(first) == 2:
@@ -115,17 +128,40 @@ def _print_witnesses(
         write("".join(block))
 
 
+def _print_rows(name: str, n: int, arity: int, rows: Iterable[Row]) -> None:
+    """Print "<name>: FAIL witness=(x, ...)" for every failing cell of every
+    row (x, lhs, rhs) of an identity in `arity` variables, one write per row.
+
+    The line tails, "y, z)\n" for each cell of a row in three variables or
+    "b)\n" for each cell of one in two, are built once. compress picks the
+    tails of the cells where a row's sides differ and the row's head joins
+    them, so a write holds at most n^2 lines."""
+    s = [str(v) for v in range(n)]
+    tails = [f"{y}, {z})\n" for y in s for z in s] if arity == 3 else [f"{b})\n" for b in s]
+    write = sys.stdout.write
+    for x, lhs, rhs in rows:
+        head = f"{name}: FAIL witness=({s[x]}, "
+        lines = head.join(compress(tails, map(ne, lhs, rhs)))
+        if lines:
+            write(head + lines)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     dot, circ = _load_brace_tables(args.brace_file)
+    n = dot.n
     code = 0
     for name, violations in IDENTITY_SUITE:
-        witnesses = violations(dot, circ)
-        first = next(witnesses, None)
+        rows = violations(dot, circ)
+        first = next(rows, None)
         if first is None:
             print(f"{name}: PASS")
+            continue
+        code = 1
+        witness = next(_witnesses(n, [first]))
+        if args.all_witnesses:
+            _print_rows(name, n, len(witness), chain((first,), rows))
         else:
-            code = 1
-            _print_witnesses(name, dot.n, first, witnesses if args.all_witnesses else ())
+            print(f"{name}: FAIL witness={witness}")
     return code
 
 
@@ -147,7 +183,13 @@ def cmd_maps(args: argparse.Namespace) -> int:
     brace = _load_brace(args.brace_file)
     if args.element is not None and not 0 <= args.element < brace.n:
         raise BraceError(f"element {_cut_int(args.element)} is outside 0..{brace.n - 1}")
-    elements = [args.element] if args.element is not None else range(brace.n)
+    if args.element is None:
+        elements = range(brace.n)
+        # Every row of S and T is printed: build both tables once, and
+        # tau_perm reads them. One element needs only its two rows.
+        _sigma_tau_tables(brace.dot, brace.circ)
+    else:
+        elements = [args.element]
     maps = [(x, sigma_perm(brace, x).image, tau_perm(brace, x).image) for x in elements]
     if args.format == "json":
         _emit(_maps_json(brace.n, maps) + "\n", args.output)

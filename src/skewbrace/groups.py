@@ -9,15 +9,15 @@ Conventions used throughout the package:
 * every ``GroupTable`` is fully validated on construction and immutable
   afterwards, so instances may be shared freely across threads/processes.
 
-Exhaustive checks run a row at a time where they can. For a table of at most
-256 elements every entry fits a byte, so ``_byte_table`` encodes it as one
-``bytes`` string plus 256-byte translation rows, and ``bytes.translate``
-composes a permutation with every row of the table in one C call. The
-associativity check (and the n^3 identity sweeps of :mod:`skewbrace.braces`)
-compares, for each a, both sides over all (b, c) as two byte strings and
-runs the cell loop over a only when the strings differ. A skipped a has no
-failing cell, so the witnesses and their order are the cell loop's own;
-above 256 elements only the cell loop runs.
+Exhaustive checks run a row at a time. The associativity check (and the
+identity sweeps of :mod:`skewbrace.braces`) builds, for each a, both sides
+over all (b, c) as two sequences by gathers in C and compares them whole.
+``_row_form`` picks the sequences: on a carrier of at most 256 elements
+every entry fits a byte, so ``_byte_table`` encodes a table as one ``bytes``
+string plus 256-byte translation rows, and ``bytes.translate`` composes a
+permutation with every row of the table in one C call; above 256 elements
+the same gathers build tuples. Only a row whose sides differ is scanned, by
+``_witnesses`` in C, for its failing cells in lexicographic order.
 
 The package's value types (``PermMap``, ``GroupTable`` here, and the
 records of :mod:`skewbrace.braces`, :mod:`skewbrace.search` and
@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import chain
-from operator import attrgetter, itemgetter
-from typing import Iterator, Sequence
+from functools import lru_cache
+from itertools import chain, compress, product
+from operator import attrgetter, itemgetter, ne
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class _Record:
@@ -170,7 +171,7 @@ class GroupTable(_Record):
     associativity) and the first violated axiom is reported with a witness,
     scanning cells and triples lexicographically. The range and column
     checks and the associativity row check run in C; a cell loop only runs
-    to find the witness of a failure.
+    to find the cell of an out-of-range entry.
     """
 
     n: int
@@ -232,44 +233,89 @@ class GroupTable(_Record):
             raise OutOfRangeError(a, self.n)
 
 
+#: Cached by value: validating a pair's two tables and then running the
+#: identity suite on the pair encode dot, circ and S up to six times each.
+@lru_cache(maxsize=8)
 def _byte_table(
-    rows: Sequence[Sequence[int]],
-) -> tuple[bytes, tuple[bytes, ...], tuple[bytes, ...]] | None:
-    """The table (n x n, entries in 0..n-1) as bytes, or None when n > 256
-    and an entry may not fit a byte.
+    rows: tuple[tuple[int, ...], ...],
+) -> tuple[bytes, tuple[bytes, ...], tuple[bytes, ...]]:
+    """The table (rows of entries in 0..255) as bytes: (flat, lines, maps).
 
-    Returns (flat, lines, pads): `flat` holds the n^2 entries row by row,
-    `lines[a]` is row a, and `pads[a]` is row a padded to the 256-byte table
-    of bytes.translate, so that ``s.translate(pads[a])`` replaces every
-    entry v of s by rows[a][v]. ``flat.translate(pads[a])`` is thus row a
-    composed with every row of the table, and ``b"".join(_compose(lines, p))``
-    the rows in the order p, each in one C call.
+    `flat` holds the entries row by row, `lines[a]` is row a, and `maps[a]`
+    is row a padded to the 256-byte table of bytes.translate, so that
+    ``s.translate(maps[a])`` replaces every entry v of s by rows[a][v].
+    ``flat.translate(maps[a])`` is thus row a composed with every row of the
+    table, and ``b"".join(_compose(lines, p))`` the rows in the order p, each
+    in one C call.
     """
-    n = len(rows)
-    if n > 256:
-        return None
-    tail = bytes(256 - n)
+    tail = bytes(256 - len(rows[0]))
     lines = tuple(map(bytes, rows))
     return b"".join(lines), lines, tuple([line + tail for line in lines])
+
+
+def _tuple_table(
+    rows: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """_byte_table's (flat, lines, maps) as tuples, for any carrier."""
+    lines = tuple(map(tuple, rows))
+    return tuple(chain.from_iterable(lines)), lines, lines
+
+
+def _apply_tuple(s: Sequence[int], row: Sequence[int]) -> tuple[int, ...]:
+    """bytes.translate's counterpart on tuples: every entry v of s replaced
+    by row[v]."""
+    return _compose(row, s)
+
+
+def _join_tuples(parts: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(parts))
+
+
+#: (line, table, apply, join) of a row form: `line` makes one row from its
+#: entries, `table` encodes a table as (flat, lines, maps), `apply(s, m)`
+#: replaces every entry v of s by row[v] where m is the row's map, and
+#: `join` concatenates rows.
+_BYTE_FORM = (bytes, _byte_table, bytes.translate, b"".join)
+_TUPLE_FORM = (tuple, _tuple_table, _apply_tuple, _join_tuples)
+
+
+def _row_form(n: int) -> tuple[Callable, Callable, Callable, Callable]:
+    """The row form on a carrier of n elements: byte strings when every
+    entry fits a byte (n <= 256), tuples above."""
+    return _BYTE_FORM if n <= 256 else _TUPLE_FORM
+
+
+def _witnesses(
+    n: int, rows: Iterable[tuple[int, Sequence[int], Sequence[int]]]
+) -> Iterator[tuple[int, ...]]:
+    """The witness tuples of failing rows (x, lhs, rhs), in order.
+
+    A row's sides list its cells in lexicographic order: (y, z) row-major
+    when they have n^2 entries, b when they have n (on one element, where
+    the two agree, every identity holds). Each cell whose two entries
+    differ gives (x, y, z) or (x, b), picked by compress in C.
+    """
+    carrier = range(n)
+    return chain.from_iterable(
+        compress(
+            product((x,), carrier, carrier) if len(lhs) > n else product((x,), carrier),
+            map(ne, lhs, rhs),
+        )
+        for x, lhs, rhs in rows
+    )
 
 
 def _associativity_witness(rows: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
     """The lexicographically first (a, b, c) with (ab)c != a(bc), or None."""
     n = len(rows)
-    packed = _byte_table(rows)
-    if packed is not None:
-        flat, lines, pads = packed
+    _, table, apply, join = _row_form(n)
+    flat, lines, maps = table(rows)
     for a in range(n):
-        ra = rows[a]
         # Row b of (ab)c is row ab; row b of a(bc) is row b followed by a.
-        if packed is not None and b"".join(_compose(lines, ra)) == flat.translate(pads[a]):
-            continue
-        for b in range(n):
-            left = rows[ra[b]]
-            rb = rows[b]
-            for c in range(n):
-                if left[c] != ra[rb[c]]:
-                    return (a, b, c)
+        lhs = join(_compose(lines, rows[a]))
+        rhs = apply(flat, maps[a])
+        if lhs != rhs:
+            return next(_witnesses(n, [(a, lhs, rhs)]))
     return None
 
 

@@ -120,11 +120,15 @@ def test_maps_out_of_range_exits_2(xor_file):
         ["maps", "{brace}", "--format", "json"],
         ["r-map", "{brace}"],
         ["check-ybe", "{brace}"],
+        ["maps", "{brace}", "--element", "1"],
+        ["maps", "{brace}", "--element", "3", "--format", "json"],
     ],
 )
-def test_one_sigma_tau_build_per_command(argv, tmp_path, monkeypatch):
+def test_one_sigma_tau_build_per_command(argv, tmp_path, monkeypatch, capsys):
     """verify (five sweeps read S and T), maps (2n permutations) and r-map
-    each build the sigma/tau tables of the file's pair once."""
+    each build the sigma/tau tables of the file's pair once; maps --element
+    builds none, and its two rows are the per-definition sigma_x and
+    tau_x."""
     brace = tmp_path / "brace.json"
     brace.write_text(XOR_BRACE_JSON)
     pair = tmp_path / "pair.json"
@@ -139,7 +143,19 @@ def test_one_sigma_tau_build_per_command(argv, tmp_path, monkeypatch):
     monkeypatch.setattr(braces, "_build_sigma_tau", counted)
     code = main([arg.format(brace=brace, pair=pair) for arg in argv])
     assert code == (1 if "{pair}" in argv else 0)
-    assert len(builds) == 1
+    if "--element" not in argv:
+        assert len(builds) == 1
+        return
+    assert builds == []
+    x = int(argv[argv.index("--element") + 1])
+    xor = sb.parse_brace_json(XOR_BRACE_JSON)
+    sigma = [sb.sigma(xor, x, y) for y in range(4)]
+    tau = [sb.tau(xor, x, y) for y in range(4)]
+    out = capsys.readouterr().out
+    if "json" in argv:
+        assert json.loads(out) == {"n": 4, "maps": [{"element": x, "sigma": sigma, "tau": tau}]}
+    else:
+        assert out == f"sigma[{x}] = {' '.join(map(str, sigma))}\ntau[{x}] = {' '.join(map(str, tau))}\n"
 
 
 def test_maps_json_format(xor_file, capsys):
@@ -763,6 +779,32 @@ def test_print_witnesses_matches_percent_d_reference(n, arity, capsys):
     cli._print_witnesses("sweep", n, witnesses[0], iter(witnesses[1:]))
     line = f"sweep: FAIL witness=({', '.join(['%d'] * arity)})\n"
     assert capsys.readouterr().out == "".join(line % w for w in witnesses)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 101])
+@pytest.mark.parametrize("arity", [2, 3])
+def test_print_rows_matches_percent_d_reference(n, arity, capsys):
+    """verify's row writer prints, for each row (x, lhs, rhs), the "%d"
+    line of (x, *cell) for every cell where the sides differ, in cell
+    order: rows with no, one and every failing cell, at every label width
+    up to three digits."""
+    rng = random.Random(n * 10 + arity)
+    cells = list(itertools.product(range(n), repeat=arity - 1))
+    corners = sorted({v for v in (0, 1, n // 2, n - 2, n - 1, 9, 10, 99, 100) if 0 <= v < n})
+    masks = [set(), {0}, {len(cells) - 1}, {len(cells) // 2}, set(range(len(cells)))]
+    masks += [set(rng.sample(range(len(cells)), rng.randrange(len(cells) + 1))) for _ in range(5)]
+    rows = []
+    for x in corners:
+        for mask in masks:
+            lhs = bytes(rng.randrange(n) for _ in cells)
+            rhs = bytes((v + 1) % 256 if i in mask else v for i, v in enumerate(lhs))
+            rows.append((x, lhs, rhs))
+    cli._print_rows("sweep", n, arity, iter(rows))
+    line = f"sweep: FAIL witness=({', '.join(['%d'] * arity)})\n"
+    expected = [
+        line % (x, *cell) for x, lhs, rhs in rows for cell, l, r in zip(cells, lhs, rhs) if l != r
+    ]
+    assert capsys.readouterr().out == "".join(expected)
 
 
 def test_reused_parser_keeps_no_state_between_calls(xor_file, tmp_path, capsys):

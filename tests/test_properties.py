@@ -3,6 +3,7 @@ associativity check against their per-definition references, isomorphism,
 canonical forms, dedup, and the CLI's handling of malformed input."""
 
 import copy
+import itertools
 import json
 import random
 
@@ -11,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewbrace as sb
-from skewbrace import braces
+from skewbrace import braces, groups
 from skewbrace.cli import main
-from skewbrace.groups import _associativity_witness, _byte_table, _compose
+from skewbrace.groups import _associativity_witness, _compose, _row_form, _witnesses
 from skewbrace.search import brace_sort_key
 from skewbrace.ybe import YbeMap, ybe_violations
 
@@ -73,11 +74,11 @@ def _draw_relabelled(data, braces):
 # --- per-definition references ------------------------------------------------
 #
 # The sweeps in skewbrace.braces and skewbrace.ybe read sigma, tau and R from
-# precomputed tables with hoisted rows, and skip each x (each a for
-# associativity) whose sides agree as byte strings. These references
-# evaluate every product, sigma_x(y), tau_y(x) and both sides of the
-# Yang-Baxter equation from the definitions, one call per value, in the same
-# sweep order.
+# precomputed tables, and the identity sweeps (and the associativity check)
+# build both sides of a whole row x (a) by gathers and yield only the rows
+# whose sides differ. These references evaluate every product, sigma_x(y),
+# tau_y(x) and both sides of the Yang-Baxter equation from the definitions,
+# one call per value, in the same sweep order.
 
 
 def _ref_compatibility(dot, circ):
@@ -148,6 +149,16 @@ def _ref_sigma_twisted_product(dot, circ):
                     yield (x, y, z)
 
 
+def _ref_inverse_product(dot, circ):
+    n = dot.n
+    for a in range(n):
+        ai = dot.inverse(a)
+        for b in range(n):
+            lhs = dot.multiply(dot.multiply(ai, circ.multiply(a, dot.inverse(b))), ai)
+            if lhs != dot.inverse(circ.multiply(a, b)):
+                yield (a, b)
+
+
 def _ref_product_preservation(dot, circ):
     n = dot.n
     c = circ.table
@@ -199,11 +210,13 @@ def _ref_r(dot, circ):
 
 
 #: Each check with its reference, called with the same arguments: the
-#: identity sweeps take a (dot, circ) pair and yield every witness;
-#: GroupTable's associativity check takes one table and returns its first.
+#: identity sweeps take a (dot, circ) pair and yield every failing row, whose
+#: witnesses (_sweep_witnesses) are the reference's; GroupTable's
+#: associativity check takes one table and returns its first witness.
 REFERENCES = {
     _associativity_witness: _ref_associativity_witness,
     braces.compatibility_violations: _ref_compatibility,
+    braces.inverse_product_violations: _ref_inverse_product,
     braces.sigma_homomorphism_violations: _ref_sigma_homomorphism,
     braces.tau_antihomomorphism_violations: _ref_tau_antihomomorphism,
     braces.sigma_twisted_product_violations: _ref_sigma_twisted_product,
@@ -220,6 +233,10 @@ def groups_by_order():
 PAIR_SWEEPS = [sweep for sweep in REFERENCES if sweep is not _associativity_witness]
 
 
+def _sweep_witnesses(sweep, dot, circ):
+    return list(_witnesses(dot.n, sweep(dot, circ)))
+
+
 def _draw_mixed(data, braces):
     """The dot table of one brace and the circ table of a brace on another
     dot table, relabelled together: a pair on which the identities hold at
@@ -230,13 +247,10 @@ def _draw_mixed(data, braces):
     return _relabelled(b1.dot.table, p), _relabelled(b2.circ.table, p)
 
 
-@settings(max_examples=150)
-@given(data=st.data())
-def test_table_sweeps_match_per_definition_references(groups_by_order, catalogs, data):
-    """On relabelled pairs of group tables of one order n <= 8 (braces from
+def _draw_pair(data, groups_by_order, catalogs):
+    """A relabelled pair of group tables of one order n <= 8: a brace from
     the catalogs, the dot of one brace with the circ of a brace on another
-    dot table, or two unrelated groups), every table-driven sweep yields
-    exactly its reference's witnesses."""
+    dot table, or two unrelated groups."""
     n = data.draw(st.sampled_from(sorted(catalogs)), label="n")
     kind = data.draw(st.sampled_from(["brace", "mixed", "groups"]), label="kind")
     if kind == "mixed" and len(groups_by_order[n]) == 1:
@@ -254,8 +268,18 @@ def test_table_sweeps_match_per_definition_references(groups_by_order, catalogs,
             )
             for _ in range(2)
         )
+    return dot, circ
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_table_sweeps_match_per_definition_references(groups_by_order, catalogs, data):
+    """On the pairs _draw_pair draws, every table-driven sweep yields
+    exactly its reference's witnesses."""
+    dot, circ = _draw_pair(data, groups_by_order, catalogs)
+    n = dot.n
     for sweep in PAIR_SWEEPS:
-        assert list(sweep(dot, circ)) == list(REFERENCES[sweep](dot, circ)), sweep.__name__
+        assert _sweep_witnesses(sweep, dot, circ) == list(REFERENCES[sweep](dot, circ)), sweep.__name__
     S, T = braces._sigma_tau_tables(dot, circ)
     assert S == tuple(tuple(_sigma_tables(dot, circ, x, y) for y in range(n)) for x in range(n))
     assert T == tuple(tuple(_tau_tables(dot, circ, y, x) for x in range(n)) for y in range(n))
@@ -266,8 +290,9 @@ def test_table_sweeps_match_per_definition_references(groups_by_order, catalogs,
 
 
 def test_mixed_pairs_pass_at_some_x_and_fail_at_others(raw_catalog_8):
-    """On pairs of the kind _draw_mixed draws, each n^3 sweep both skips
-    rows whose sides agree and scans rows that fail, in one pair, and every
+    """On pairs of the kind _draw_mixed draws, each sweep but product
+    preservation (which holds on every pair of groups) both passes rows
+    whose sides agree and yields rows that fail, in one pair, and every
     sweep yields its reference's witnesses."""
     braces_8 = raw_catalog_8.braces
     rng = random.Random(8)
@@ -277,17 +302,11 @@ def test_mixed_pairs_pass_at_some_x_and_fail_at_others(raw_catalog_8):
         b2 = rng.choice([b for b in braces_8 if b.dot != b1.dot])
         dot, circ = b1.dot, b2.circ
         for sweep in PAIR_SWEEPS:
-            witnesses = list(sweep(dot, circ))
+            witnesses = _sweep_witnesses(sweep, dot, circ)
             assert witnesses == list(REFERENCES[sweep](dot, circ)), sweep.__name__
             if 0 < len({w[0] for w in witnesses}) < 8:
                 mixed.add(sweep)
-    assert mixed == {
-        braces.compatibility_violations,
-        braces.sigma_homomorphism_violations,
-        braces.tau_antihomomorphism_violations,
-        braces.sigma_twisted_product_violations,
-        braces.sigma_automorphism_violations,
-    }
+    assert mixed == set(PAIR_SWEEPS) - {braces.product_preservation_violations}
 
 
 def test_interleaved_sweeps_read_their_own_pairs_tables(raw_catalog_8):
@@ -316,8 +335,8 @@ def test_interleaved_sweeps_read_their_own_pairs_tables(raw_catalog_8):
                     live.remove(i)
                 else:
                     seen[i].append(witness)
-        for (sweep, pair, _), witnesses in zip(sweeps, seen):
-            assert witnesses == list(REFERENCES[sweep](*pair)), sweep.__name__
+        for (sweep, pair, _), rows in zip(sweeps, seen):
+            assert list(_witnesses(8, rows)) == list(REFERENCES[sweep](*pair)), sweep.__name__
         # sigma_homomorphism reads S and fails on the second pair (as
         # compatibility does), so tables served from the first would show.
         assert seen[2 * PAIR_SWEEPS.index(braces.sigma_homomorphism_violations) + 1]
@@ -335,13 +354,97 @@ def test_interleaved_sweeps_read_their_own_pairs_tables(raw_catalog_8):
             assert sb.build_r(brace) == _ref_r(brace.dot, brace.circ)
 
 
+def _tuple_form(n):
+    return groups._TUPLE_FORM
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_tuple_rows_match_per_definition_references(groups_by_order, catalogs, data):
+    """The tuple rows that serve carriers above 256 elements, forced on the
+    pairs _draw_pair draws: every sweep yields the byte rows' failing rows
+    and sides as tuples, and so its reference's witnesses."""
+    dot, circ = _draw_pair(data, groups_by_order, catalogs)
+    byte_rows = {sweep: list(sweep(dot, circ)) for sweep in PAIR_SWEEPS}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(braces, "_row_form", _tuple_form)
+        for sweep in PAIR_SWEEPS:
+            rows = list(sweep(dot, circ))
+            assert all(type(lhs) is type(rhs) is tuple for _, lhs, rhs in rows)
+            assert [(x, bytes(lhs), bytes(rhs)) for x, lhs, rhs in rows] == byte_rows[sweep]
+            assert list(_witnesses(dot.n, rows)) == list(REFERENCES[sweep](dot, circ)), sweep.__name__
+
+
+def _sides(dot, circ):
+    """Each sweep's two sides at one cell, evaluated from the definitions."""
+    d, c = dot.multiply, circ.multiply
+    inv = dot.inverse
+
+    def sig(x, y):
+        return _sigma_tables(dot, circ, x, y)
+
+    def tau(y, x):
+        return _tau_tables(dot, circ, y, x)
+
+    return {
+        braces.compatibility_violations: (
+            lambda x, y, z: c(x, d(y, z)),
+            lambda x, y, z: d(d(c(x, y), inv(x)), c(x, z)),
+        ),
+        braces.inverse_product_violations: (
+            lambda a, b: d(d(inv(a), c(a, inv(b))), inv(a)),
+            lambda a, b: inv(c(a, b)),
+        ),
+        braces.sigma_homomorphism_violations: (
+            lambda x, y, z: sig(c(x, y), z),
+            lambda x, y, z: sig(x, sig(y, z)),
+        ),
+        braces.tau_antihomomorphism_violations: (
+            lambda x, y, z: tau(c(y, z), x),
+            lambda x, y, z: tau(z, tau(y, x)),
+        ),
+        braces.sigma_twisted_product_violations: (
+            lambda x, y, z: sig(x, c(y, z)),
+            lambda x, y, z: c(sig(x, y), sig(tau(y, x), z)),
+        ),
+        braces.product_preservation_violations: (
+            lambda x, y: c(sig(x, y), tau(y, x)),
+            lambda x, y: c(x, y),
+        ),
+        braces.sigma_automorphism_violations: (
+            lambda x, y, z: sig(x, d(y, z)),
+            lambda x, y, z: d(sig(x, y), sig(x, z)),
+        ),
+    }
+
+
+def test_failing_rows_carry_both_sides(raw_catalog_8):
+    """Each failing row (x, lhs, rhs) lists both sides of its identity at
+    every cell of x, (y, z) row-major or b, as the definitions evaluate
+    them, so a report can show the values and not only the witness."""
+    braces_8 = raw_catalog_8.braces
+    rng = random.Random(20)
+    rows_seen = 0
+    for _ in range(6):
+        b1 = rng.choice(braces_8)
+        b2 = rng.choice([b for b in braces_8 if b.dot != b1.dot])
+        dot, circ = b1.dot, b2.circ
+        for sweep, (left, right) in _sides(dot, circ).items():
+            cells = list(itertools.product(range(8), repeat=left.__code__.co_argcount - 1))
+            for x, lhs, rhs in sweep(dot, circ):
+                assert list(lhs) == [left(x, *cell) for cell in cells], sweep.__name__
+                assert list(rhs) == [right(x, *cell) for cell in cells], sweep.__name__
+                rows_seen += 1
+    assert rows_seen > 0
+
+
 @settings(max_examples=150)
 @given(data=st.data())
 def test_associativity_witness_matches_reference(groups_by_order, data):
     """On a relabelled group table of order n <= 8 with up to two products
     changed (a at 0 still passes, other a may fail), the associativity
-    check returns its reference's first witness, and GroupTable reports it
-    when the table is still a Latin square."""
+    check returns its reference's first witness in both row forms, and
+    GroupTable reports it when the table is still a Latin square."""
     n = data.draw(st.integers(1, 8), label="n")
     group = data.draw(st.sampled_from(groups_by_order[n]))
     rows = [list(row) for row in _relabelled(group.table, (0, *data.draw(st.permutations(range(1, n))))).table]
@@ -352,6 +455,9 @@ def test_associativity_witness_matches_reference(groups_by_order, data):
     rows = tuple(map(tuple, rows))
     witness = _associativity_witness(rows)
     assert witness == _ref_associativity_witness(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_row_form", _tuple_form)
+        assert _associativity_witness(rows) == witness
     if all(sorted(col) == list(range(n)) for col in (*rows, *zip(*rows))):
         if witness is None:
             sb.GroupTable(n, rows)
@@ -367,7 +473,7 @@ def test_row_check_at_256_elements():
     group) reports its reference's first witness."""
     n = 256
     table = sb.cyclic_group(n).table
-    assert _byte_table(table) is not None
+    assert _row_form(n)[0] is bytes
     rows = [list(row) for row in table]
     h = n // 2
     # Cells (1, 1), (1, 1+h), (1+h, 1), (1+h, 1+h) hold 2, 2+h, 2+h, 2.
@@ -382,11 +488,11 @@ def test_row_check_at_256_elements():
 
 
 def test_row_check_declines_above_256_elements():
-    """At n = 257 an entry may not fit a byte: the helper declines and the
-    cell loop alone finds the witness."""
+    """At n = 257 an entry may not fit a byte: the rows are tuples, and
+    they find the reference's witness."""
     n = 257
     rows = [[(a + b) % n for b in range(n)] for a in range(n)]
-    assert _byte_table(rows) is None
+    assert _row_form(n)[0] is tuple
     rows[2][3] = 0
     assert _associativity_witness(rows) == _ref_associativity_witness(rows)
 

@@ -1,15 +1,17 @@
 """Checks on the package source itself: no unused imports, a pinned public
 API, so that a deletion leaves no debris and a removed public name shows in
-the diff, no syntax newer than the oldest Python the package supports, and
-no test oracle in the package."""
+the diff, no syntax newer than the oldest Python the package supports, no test
+oracle in the package, and identity sweeps that compare whole rows."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import skewbrace as sb
+from skewbrace import braces
 
 PACKAGE = Path(sb.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -188,3 +190,34 @@ def test_package_holds_no_test_oracle():
         if words & TEST_ONLY_NAMES:
             found[path.name] = sorted(words & TEST_ONLY_NAMES)
     assert found == {}
+
+
+def test_identity_suite_entries_are_violation_generators():
+    """Each IDENTITY_SUITE entry is a generator function named *_violations,
+    which the benchmark's tracer times as one span per identity."""
+    for label, sweep in braces.IDENTITY_SUITE:
+        assert inspect.isgeneratorfunction(sweep), label
+        assert sweep.__name__.endswith("_violations"), label
+        assert getattr(braces, sweep.__name__) is sweep, label
+
+
+def test_braces_sweeps_have_no_cell_loop():
+    """No sweep in braces.py nests a loop or a comprehension inside its loop
+    over the rows: each row's cells are compared whole, so the row path is
+    the only path."""
+    sweeps = [
+        node
+        for node in ast.walk(ast.parse((PACKAGE / "braces.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name.endswith("_violations")
+    ]
+    assert len(sweeps) == len(braces.IDENTITY_SUITE)
+    nested = [
+        (sweep.name, inner.lineno)
+        for sweep in sweeps
+        for loop in ast.walk(sweep)
+        if isinstance(loop, ast.For)
+        for statement in loop.body
+        for inner in ast.walk(statement)
+        if isinstance(inner, (ast.For, ast.comprehension))
+    ]
+    assert nested == []
