@@ -94,7 +94,10 @@ def _require_compatible_carriers(a: Any, b: Any) -> None:
 
 
 #: A failing row (x, lhs, rhs): both sides of an identity over every cell of
-#: x, in lexicographic order, as a byte string (n <= 256) or a tuple.
+#: x, in lexicographic order, as a byte string (n <= 256) or a tuple. Its
+#: readers (groups._witnesses, cli._print_rows) take only the sides' length
+#: and their cells in order, so the Yang-Baxter rows of ybe, whose cells are
+#: triples (ybe._Triples), are read the same way.
 Row = tuple[int, Sequence[int], Sequence[int]]
 
 
@@ -344,7 +347,13 @@ def sigma_twisted_product_violations(dot: GroupTable, circ: GroupTable) -> Itera
 
 
 def product_preservation_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:
-    """Yield every row x where sigma_x(y) o tau_y(x) != x o y for some y."""
+    """Yield every row x where sigma_x(y) o tau_y(x) != x o y for some y.
+
+    On a pair of group tables this checks a definition: tau_y(x) is
+    sigma_x(y)^-1 o x o y, so sigma_x(y) o tau_y(x) = x o y is the
+    associativity of circ, and no row fails. The sweep keeps its line in the
+    report; ybe.check_product_preservation checks the same law on an R-map
+    that was not built from the pair."""
     _require_compatible_carriers(dot, circ)
     S, T = _sigma_tau_tables(dot, circ)
     line, table, _, _ = _row_form(dot.n)

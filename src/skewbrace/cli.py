@@ -15,7 +15,7 @@ import argparse
 import functools
 import sys
 import time
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from operator import ne
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -100,37 +100,10 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
-#: check-ybe --all-witnesses output is written in blocks of this many
-#: lines: one write per block rather than per line, and small enough (about
-#: 60 kB) that peak memory does not grow with the number of witnesses.
-#: verify writes one failing row per write instead (_print_rows).
-WITNESS_BLOCK_LINES = 1024
-
-
-def _print_witnesses(
-    name: str, n: int, first: tuple[int, ...], rest: Iterable[tuple[int, ...]]
-) -> None:
-    """Print "<name>: FAIL witness=<tuple>" for `first` and then for every
-    witness in `rest`, writing blocks of WITNESS_BLOCK_LINES lines.
-
-    Witnesses are pairs or triples of elements of a carrier of size `n`, one
-    per Yang-Baxter triple from the stepwise walk; each line is one f-string
-    over the decimal strings of 0..n-1, built once."""
-    s = [str(v) for v in range(n)]
-    head = f"{name}: FAIL witness=("
-    if len(first) == 2:
-        lines = lambda ws: [f"{head}{s[a]}, {s[b]})\n" for a, b in ws]
-    else:
-        lines = lambda ws: [f"{head}{s[a]}, {s[b]}, {s[c]})\n" for a, b, c in ws]
-    witnesses = chain((first,), rest)
-    write = sys.stdout.write
-    while block := lines(islice(witnesses, WITNESS_BLOCK_LINES)):
-        write("".join(block))
-
-
 def _print_rows(name: str, n: int, arity: int, rows: Iterable[Row]) -> None:
     """Print "<name>: FAIL witness=(x, ...)" for every failing cell of every
     row (x, lhs, rhs) of an identity in `arity` variables, one write per row.
+    A cell may be one value or, in a Yang-Baxter row, a triple.
 
     The line tails, "y, z)\n" for each cell of a row in three variables or
     "b)\n" for each cell of one in two, are built once. compress picks the
@@ -214,14 +187,17 @@ def cmd_rmap(args: argparse.Namespace) -> int:
 
 def cmd_check_ybe(args: argparse.Namespace) -> int:
     rmap = _load_rmap(args.input_file)
-    witnesses = ybe_violations(rmap)
-    first = next(witnesses, None)
+    rows = ybe_violations(rmap)
+    first = next(rows, None)
     if first is None:
         print("yang-baxter: PASS")
         print(f"nondegenerate: {'yes' if check_nondegenerate(rmap) else 'no'}")
         print(f"bijective: {'yes' if check_bijective(rmap) else 'no'}")
         return 0
-    _print_witnesses("yang-baxter", rmap.n, first, witnesses if args.all_witnesses else ())
+    if args.all_witnesses:
+        _print_rows("yang-baxter", rmap.n, 3, chain((first,), rows))
+    else:
+        print(f"yang-baxter: FAIL witness={next(_witnesses(rmap.n, [first]))}")
     return 1
 
 

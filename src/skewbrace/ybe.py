@@ -7,16 +7,24 @@ an n x n table of output pairs. The braid-style equation checked here is
 
 with the rightmost factor applied first. That composition order is the one
 convention in this package most likely to be implemented backwards, so two
-independent evaluators are provided: :func:`check_ybe` walks each triple
-stepwise, while :func:`check_ybe_materialized` builds the two factor maps on
-B^3 explicitly and composes them as lookup tables. They must always agree.
+independent evaluators are provided: :func:`check_ybe` evaluates both sides
+stepwise, a row a at a time over all (b, c), while
+:func:`check_ybe_materialized` builds the two factor maps on B^3 explicitly
+and composes them as lookup tables. They must always agree.
+
+The stepwise sweep works as the identity sweeps of :mod:`skewbrace.braces`
+do: R is split into its tables of first and second outputs, each step of
+both sides is a gather in C over a whole row, as byte strings on carriers of
+at most 256 elements and as tuples above (groups._row_form), and only a row
+whose sides differ is turned into cells.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Iterator
+from operator import getitem, itemgetter
+from typing import Iterator, Sequence
 
 from .braces import (
     CheckResult,
@@ -25,7 +33,7 @@ from .braces import (
     _require_compatible_carriers,
     _sigma_tau_tables,
 )
-from .groups import _compose, _cut_int, _load_table_fields, _Record
+from .groups import _compose, _cut_int, _load_table_fields, _Record, _row_form, _witnesses
 
 
 class YbeMap(_Record):
@@ -74,30 +82,76 @@ def swap_map(n: int) -> YbeMap:
     return YbeMap(n, tuple(tuple((b, a) for b in range(n)) for a in range(n)))
 
 
-def ybe_violations(rmap: YbeMap) -> Iterator[tuple[int, int, int]]:
-    """Yield every triple where the two sides of the equation differ."""
+def _components(
+    rmap: YbeMap,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The tables R1[a][b] and R2[a][b] of the first and second outputs of
+    R(a, b), each made by zip in C."""
+    return tuple(zip(*[zip(*row) for row in rmap.r]))
+
+
+class _Triples:
+    """One side of a failing Yang-Baxter row: cell i is the triple
+    (x[i], y[i], z[i]) of three rows of values.
+
+    The cells are made by zip as they are read, so that the row's readers,
+    which compare the two sides cell by cell with map in C, allocate no
+    tuple per cell: zip reuses its tuple once the comparison has let it go.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, x: Sequence[int], y: Sequence[int], z: Sequence[int]) -> None:
+        self.parts = (x, y, z)
+
+    def __len__(self) -> int:
+        return len(self.parts[0])
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        return zip(*self.parts)
+
+
+def ybe_violations(rmap: YbeMap) -> Iterator[tuple[int, _Triples, _Triples]]:
+    """Yield every row (a, lhs, rhs) where the two sides of the equation
+    differ at some (b, c).
+
+    The sides list the cells (b, c) row-major, each cell the evaluated
+    triple: (h, k, g) on the left and (s, v, w) on the right, where
+    (v, w) = r[t][u]. A row is built whole by gathers: per b, (f, g) is
+    row e of R and (h, k) row d of R after f, for (d, e) = R(a, b); s and t
+    are row a of R1 and of R2 after the flat R1, and r[t][u] is entry
+    q*n + u of the rows of R joined in the order R2[a], for
+    (q, u) = R(b, c). A row whose three components agree costs three
+    comparisons; only a failing row is given cells, as _Triples.
+    """
     n = rmap.n
-    r = rmap.r
+    line, table, apply, join = _row_form(n)
+    first, second = _components(rmap)
+    flat1, lines1, maps1 = table(first)
+    _, lines2, maps2 = table(second)
+    # Cell (b, c) of the right side reads r[t][u] at index q*n + u of the
+    # rows of R joined in the order R2[a], the same index for every a.
+    # itemgetter with one index would give the item, not a 1-tuple.
+    cells = [q * n + u for row in rmap.r for q, u in row]
+    gather = itemgetter(*cells) if n > 1 else lambda s: (s[cells[0]],)
     for a in range(n):
-        ra = r[a]
-        for b in range(n):
-            # Left side: (R x id), then (id x R), then (R x id), giving
-            # (h, k, g); right side: (id x R), then (R x id), then (id x R),
-            # giving (s, r[t][u]).
-            d, e = ra[b]
-            rb, rd, re = r[b], r[d], r[e]
-            for c in range(n):
-                f, g = re[c]
-                h, k = rd[f]
-                q, u = rb[c]
-                s, t = ra[q]
-                if h != s or r[t][u] != (k, g):
-                    yield (a, b, c)
+        # Row e = R2[a][b] of R1 for each b: the f of the left side, and
+        # joined, the first outputs of the rows of R in the order R2[a].
+        fs = _compose(lines1, second[a])
+        g = join(_compose(lines2, second[a]))
+        h = join(map(apply, fs, _compose(maps1, first[a])))
+        k = join(map(apply, fs, _compose(maps2, first[a])))
+        s = apply(flat1, maps1[a])
+        v = line(gather(join(fs)))
+        w = line(gather(g))
+        if h != s or k != v or g != w:
+            yield a, _Triples(h, k, g), _Triples(s, v, w)
 
 
 def check_ybe(rmap: YbeMap) -> CheckResult:
-    """Exhaustively evaluate both sides over all n^3 triples, stepwise."""
-    return _first(ybe_violations(rmap))
+    """Exhaustively evaluate both sides over all n^3 triples, a row at a
+    time."""
+    return _first(_witnesses(rmap.n, ybe_violations(rmap)))
 
 
 def check_ybe_materialized(rmap: YbeMap) -> CheckResult:
@@ -130,35 +184,31 @@ def check_ybe_materialized(rmap: YbeMap) -> CheckResult:
 
 def check_nondegenerate(rmap: YbeMap) -> bool:
     """True iff b -> first(R(a, b)) is bijective for every a, and
-    a -> second(R(a, b)) is bijective for every b."""
+    a -> second(R(a, b)) is bijective for every b.
+
+    Every output is in 0..n-1, so a row of R1 or a column of R2 is a
+    bijection exactly when it has n distinct entries."""
     n = rmap.n
-    r = rmap.r
-    full = set(range(n))
-    for a in range(n):
-        if {r[a][b][0] for b in range(n)} != full:
-            return False
-    for b in range(n):
-        if {r[a][b][1] for a in range(n)} != full:
-            return False
-    return True
+    first, second = _components(rmap)
+    return set(map(len, map(set, first))) == {n} == set(map(len, map(set, zip(*second))))
 
 
 def check_bijective(rmap: YbeMap) -> bool:
     """True iff R is a bijection of B x B (all output pairs distinct)."""
-    n = rmap.n
-    outputs = {pair for row in rmap.r for pair in row}
-    return len(outputs) == n * n
+    return len(set(chain.from_iterable(rmap.r))) == rmap.n * rmap.n
 
 
 def check_product_preservation(brace: SkewBrace, rmap: YbeMap) -> CheckResult:
     """Exhaustive check that R(a, b) = (s, t) implies s o t = a o b."""
     _require_compatible_carriers(brace, rmap)
+    n = brace.n
     c = brace.circ.table
-    for a in range(brace.n):
-        for b in range(brace.n):
-            s, t = rmap.r[a][b]
-            if c[s][t] != c[a][b]:
-                return CheckResult(False, (a, b))
+    first, second = _components(rmap)
+    for a in range(n):
+        # Entry b: entry t of row s of circ, for (s, t) = R(a, b).
+        lhs = tuple(map(getitem, _compose(c, first[a]), second[a]))
+        if lhs != c[a]:
+            return _first(_witnesses(n, [(a, lhs, c[a])]))
     return CheckResult(True)
 
 

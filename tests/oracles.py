@@ -4,14 +4,16 @@ The labelled group route runs the closure search of skewbrace.search with
 row a drawn from every Latin permutation sending 0 to a, which gives every
 labelled group table: the oracle of the group classes and of the brace
 search. The brute-force canonical form tries all (n-1)! relabelings: the
-oracle of the class minima and of canonical_brace.
+oracle of the class minima and of canonical_brace. The Yang-Baxter
+references evaluate both sides of the equation one triple at a time, from
+the table of R alone: the oracle of the row sweep ybe_violations.
 """
 
 from functools import lru_cache
 from itertools import permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from skewbrace import GroupTable, SkewBrace
+from skewbrace import GroupTable, SkewBrace, YbeMap
 from skewbrace.search import _closure_tables, _smallest_prime_factor
 
 
@@ -91,3 +93,42 @@ def _canonical_brace_brute_force(brace: SkewBrace) -> SkewBrace:
             best = cand
     assert best is not None
     return SkewBrace(GroupTable(n, best[1]), GroupTable(n, best[0]))
+
+
+def _sides_at(
+    r: Sequence[Sequence[tuple[int, int]]], a: int, b: int, c: int
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Both sides of the Yang-Baxter equation at (a, b, c), from the table r
+    of R: (h, k, g) and (s, v, w)."""
+    # Left side: (R x id), then (id x R), then (R x id).
+    d, e = r[a][b]
+    f, g = r[e][c]
+    h, k = r[d][f]
+    # Right side: (id x R), then (R x id), then (id x R).
+    q, u = r[b][c]
+    s, t = r[a][q]
+    v, w = r[t][u]
+    return (h, k, g), (s, v, w)
+
+
+def _ref_ybe_violations(rmap: YbeMap) -> Iterator[tuple[int, int, int]]:
+    """Every triple (a, b, c) where the two sides differ, in order."""
+    n = rmap.n
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                lhs, rhs = _sides_at(rmap.r, a, b, c)
+                if lhs != rhs:
+                    yield (a, b, c)
+
+
+def _ref_ybe_rows(rmap: YbeMap) -> Iterator[tuple[int, tuple, tuple]]:
+    """The failing rows (a, lhs, rhs) of ybe_violations, cell by cell: the
+    sides at every (b, c), row-major."""
+    n = rmap.n
+    for a in range(n):
+        sides = [_sides_at(rmap.r, a, b, c) for b in range(n) for c in range(n)]
+        lhs = tuple(left for left, _ in sides)
+        rhs = tuple(right for _, right in sides)
+        if lhs != rhs:
+            yield a, lhs, rhs

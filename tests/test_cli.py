@@ -6,9 +6,10 @@ import json
 import random
 
 import pytest
+from oracles import _ref_ybe_rows
 
 import skewbrace as sb
-from skewbrace import braces, cli
+from skewbrace import braces, cli, groups, ybe
 from skewbrace.braces import brace_to_json, brace_to_text
 from skewbrace.cli import main
 
@@ -755,30 +756,39 @@ def test_first_witness_output_pinned(command, tmp_path, capsys):
     assert capsys.readouterr().out == FIRST_WITNESS_OUTPUT[command]
 
 
-@pytest.mark.parametrize("block_lines", [1, 7])
-@pytest.mark.parametrize("command", sorted(ALL_WITNESSES_PINS))
-def test_all_witnesses_stream_independent_of_block_size(
-    command, block_lines, tmp_path, capsys, monkeypatch
-):
-    monkeypatch.setattr(cli, "WITNESS_BLOCK_LINES", block_lines)
-    path = _witness_inputs(tmp_path)[command]
-    assert main([command, path, "--all-witnesses"]) == 1
-    out = capsys.readouterr().out
-    assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) == ALL_WITNESSES_PINS[command]
+@pytest.mark.parametrize("form", ["bytes", "tuples"])
+def test_ybe_rows_of_the_pinned_input_carry_both_sides(form, tmp_path, monkeypatch):
+    """check-ybe's pinned order-16 input yields, in either row form, the
+    failing rows that the reference evaluates cell by cell."""
+    with open(_witness_inputs(tmp_path)["check-ybe"]) as f:
+        rmap = sb.parse_rmap_json(f.read())
+    if form == "tuples":
+        monkeypatch.setattr(ybe, "_row_form", lambda n: groups._TUPLE_FORM)
+    rows = list(ybe.ybe_violations(rmap))
+    assert [(a, tuple(lhs), tuple(rhs)) for a, lhs, rhs in rows] == list(_ref_ybe_rows(rmap))
+    assert len(list(groups._witnesses(16, rows))) == ALL_WITNESSES_PINS["check-ybe"][1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 11, 101])
 @pytest.mark.parametrize("arity", [2, 3])
 def test_print_witnesses_matches_percent_d_reference(n, arity, capsys):
-    """Witness lines equal the "%d" template at every label width, up to
-    three digits; the pinned streams above stop at order 16."""
+    """A set of witnesses, given as rows whose cells are tuples (a
+    Yang-Baxter row holds a triple per cell), prints as the "%d" lines of
+    the witnesses in lexicographic order, at every label width up to three
+    digits; the pinned streams above stop at order 16."""
     rng = random.Random(n * 10 + arity)
     corners = sorted({v for v in (0, 1, n // 2, n - 2, n - 1, 9, 10, 99, 100) if 0 <= v < n})
-    witnesses = list(itertools.product(corners, repeat=arity))
-    witnesses += [tuple(rng.randrange(n) for _ in range(arity)) for _ in range(3000)]
-    cli._print_witnesses("sweep", n, witnesses[0], iter(witnesses[1:]))
+    witnesses = set(itertools.product(corners, repeat=arity))
+    witnesses |= {tuple(rng.randrange(n) for _ in range(arity)) for _ in range(3000)}
+    cells = list(itertools.product(range(n), repeat=arity - 1))
+    rows = []
+    for x in sorted({w[0] for w in witnesses}):
+        lhs = tuple((x, *cell) for cell in cells)
+        rhs = tuple((-1, *w) if w in witnesses else w for w in lhs)
+        rows.append((x, lhs, rhs))
+    cli._print_rows("sweep", n, arity, iter(rows))
     line = f"sweep: FAIL witness=({', '.join(['%d'] * arity)})\n"
-    assert capsys.readouterr().out == "".join(line % w for w in witnesses)
+    assert capsys.readouterr().out == "".join(line % w for w in sorted(witnesses))
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 11, 101])

@@ -10,6 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import _ref_ybe_violations
 
 import skewbrace as sb
 from skewbrace import braces, groups
@@ -42,12 +43,48 @@ def test_ybe_evaluators_agree(rmap):
     step = sb.check_ybe(rmap)
     mat = sb.check_ybe_materialized(rmap)
     assert (step.ok, step.witness) == (mat.ok, mat.witness)
-    assert list(ybe_violations(rmap)) == list(_ref_ybe_violations(rmap))
+    assert list(_witnesses(rmap.n, ybe_violations(rmap))) == list(_ref_ybe_violations(rmap))
+
+
+@settings(max_examples=200)
+@given(rmaps())
+def test_map_checks_match_their_definitions(rmap):
+    """check_nondegenerate and check_bijective, which read R a row at a
+    time, against their definitions evaluated pair by pair."""
+    n, r = rmap.n, rmap.r
+    carrier = list(range(n))
+    nondegenerate = all(
+        sorted(r[a][b][0] for b in range(n)) == carrier
+        and sorted(r[b][a][1] for b in range(n)) == carrier
+        for a in range(n)
+    )
+    assert sb.check_nondegenerate(rmap) is nondegenerate
+    assert sb.check_bijective(rmap) is (len({pair for row in r for pair in row}) == n * n)
 
 
 @pytest.fixture(scope="module")
 def catalogs(raw_catalogs, raw_catalog_8):
     return {**{n: c.braces for n, c in raw_catalogs.items()}, 8: raw_catalog_8.braces}
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_product_preservation_matches_its_definition(catalogs, data):
+    """check_product_preservation on a brace's R-map with up to three
+    outputs changed reports the first (a, b) where s o t != a o b."""
+    brace = data.draw(st.sampled_from(catalogs[data.draw(st.sampled_from(sorted(catalogs)))]))
+    n, c = brace.n, brace.circ.table
+    rows = [list(row) for row in sb.build_r(brace).r]
+    element = st.integers(0, n - 1)
+    changes = st.lists(st.tuples(element, element, element, element), max_size=3)
+    for a, b, s, t in data.draw(changes):
+        rows[a][b] = (s, t)
+    witness = next(
+        ((a, b) for a in range(n) for b in range(n) if c[rows[a][b][0]][rows[a][b][1]] != c[a][b]),
+        None,
+    )
+    result = sb.check_product_preservation(brace, YbeMap(n, rows))
+    assert result == sb.CheckResult(witness is None, witness)
 
 
 def _relabelled(table, p):
@@ -74,11 +111,11 @@ def _draw_relabelled(data, braces):
 # --- per-definition references ------------------------------------------------
 #
 # The sweeps in skewbrace.braces and skewbrace.ybe read sigma, tau and R from
-# precomputed tables, and the identity sweeps (and the associativity check)
-# build both sides of a whole row x (a) by gathers and yield only the rows
-# whose sides differ. These references evaluate every product, sigma_x(y),
-# tau_y(x) and both sides of the Yang-Baxter equation from the definitions,
-# one call per value, in the same sweep order.
+# precomputed tables, build both sides of a whole row x (a) by gathers, as
+# the associativity check does, and yield only the rows whose sides differ.
+# These references evaluate every product, sigma_x(y) and tau_y(x) from the
+# definitions, one call per value, in the same sweep order; the Yang-Baxter
+# references are in oracles.py.
 
 
 def _ref_compatibility(dot, circ):
@@ -179,28 +216,6 @@ def _ref_sigma_automorphism(dot, circ):
                     yield (x, y, z)
 
 
-def _sides_at(r, a, b, c):
-    # Left side: (R x id), then (id x R), then (R x id).
-    d, e = r[a][b]
-    f, g = r[e][c]
-    h, k = r[d][f]
-    # Right side: (id x R), then (R x id), then (id x R).
-    q, rr = r[b][c]
-    s, t = r[a][q]
-    v, w = r[t][rr]
-    return (h, k, g), (s, v, w)
-
-
-def _ref_ybe_violations(rmap):
-    n = rmap.n
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                lhs, rhs = _sides_at(rmap.r, a, b, c)
-                if lhs != rhs:
-                    yield (a, b, c)
-
-
 def _ref_r(dot, circ):
     n = dot.n
     return YbeMap(
@@ -284,7 +299,7 @@ def test_table_sweeps_match_per_definition_references(groups_by_order, catalogs,
     assert S == tuple(tuple(_sigma_tables(dot, circ, x, y) for y in range(n)) for x in range(n))
     assert T == tuple(tuple(_tau_tables(dot, circ, y, x) for x in range(n)) for y in range(n))
     r = _ref_r(dot, circ)
-    assert list(ybe_violations(r)) == list(_ref_ybe_violations(r))
+    assert list(_witnesses(n, ybe_violations(r))) == list(_ref_ybe_violations(r))
     if sb.check_compatibility(dot, circ).ok:
         assert sb.build_r(sb.SkewBrace(dot, circ)) == r
 

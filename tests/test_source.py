@@ -1,7 +1,8 @@
 """Checks on the package source itself: no unused imports, a pinned public
 API, so that a deletion leaves no debris and a removed public name shows in
 the diff, no syntax newer than the oldest Python the package supports, no test
-oracle in the package, and identity sweeps that compare whole rows."""
+oracle in the package, and identity and Yang-Baxter sweeps that compare whole
+rows."""
 
 import ast
 import inspect
@@ -201,23 +202,40 @@ def test_identity_suite_entries_are_violation_generators():
         assert getattr(braces, sweep.__name__) is sweep, label
 
 
-def test_braces_sweeps_have_no_cell_loop():
-    """No sweep in braces.py nests a loop or a comprehension inside its loop
-    over the rows: each row's cells are compared whole, so the row path is
-    the only path."""
-    sweeps = [
-        node
-        for node in ast.walk(ast.parse((PACKAGE / "braces.py").read_text()))
-        if isinstance(node, ast.FunctionDef) and node.name.endswith("_violations")
-    ]
-    assert len(sweeps) == len(braces.IDENTITY_SUITE)
-    nested = [
-        (sweep.name, inner.lineno)
-        for sweep in sweeps
-        for loop in ast.walk(sweep)
+def _nested_loops(function):
+    """(name, line) of each loop or comprehension nested in a loop of a
+    function; a comprehension has no line of its own, so its target's is
+    given."""
+    return [
+        (function.name, inner.target.lineno)
+        for loop in ast.walk(function)
         if isinstance(loop, ast.For)
         for statement in loop.body
         for inner in ast.walk(statement)
         if isinstance(inner, (ast.For, ast.comprehension))
     ]
-    assert nested == []
+
+
+def _functions(module, name_filter):
+    return [
+        node
+        for node in ast.walk(ast.parse((PACKAGE / module).read_text()))
+        if isinstance(node, ast.FunctionDef) and name_filter(node.name)
+    ]
+
+
+def test_braces_sweeps_have_no_cell_loop():
+    """No sweep in braces.py nests a loop or a comprehension inside its loop
+    over the rows: each row's cells are compared whole, so the row path is
+    the only path."""
+    sweeps = _functions("braces.py", lambda name: name.endswith("_violations"))
+    assert len(sweeps) == len(braces.IDENTITY_SUITE)
+    assert [nested for sweep in sweeps for nested in _nested_loops(sweep)] == []
+
+
+def test_ybe_sweep_has_no_cell_loop():
+    """The stepwise Yang-Baxter sweep, like the identity sweeps, builds each
+    row a whole: nothing loops over b or c inside its loop over a."""
+    [sweep] = _functions("ybe.py", lambda name: name == "ybe_violations")
+    assert any(isinstance(node, ast.For) for node in ast.walk(sweep))
+    assert _nested_loops(sweep) == []

@@ -5,25 +5,17 @@ import random
 from itertools import product
 
 import pytest
+from oracles import _ref_ybe_rows, _ref_ybe_violations, _sides_at
 
 import skewbrace as sb
+from skewbrace import groups, ybe
+from skewbrace.groups import _witnesses
 from skewbrace.ybe import YbeMap, ybe_violations
 
 # Swap map on two elements with the outputs of inputs (0,0) and (0,1)
 # exchanged; fails the equation, first witness (0,0,0). Frozen from the
 # search over all 256 self-maps of BxB (test_n2_census_and_frozen_failure).
 PERTURBED_SWAP_2 = (((1, 0), (0, 0)), ((0, 1), (1, 1)))
-
-
-def _stepwise_sides(r, a, b, c):
-    # independent re-evaluation of the two sides, used to confirm witnesses
-    d, e = r[a][b]
-    f, g = r[e][c]
-    h, k = r[d][f]
-    q, rr = r[b][c]
-    s, t = r[a][q]
-    v, w = r[t][rr]
-    return (h, k, g), (s, v, w)
 
 
 def test_build_r_trivial_z2_is_swap():
@@ -85,7 +77,7 @@ def test_perturbed_swap_fails_with_witness():
     result = sb.check_ybe(rmap)
     assert not result.ok
     assert result.witness == (0, 0, 0)
-    lhs, rhs = _stepwise_sides(rmap.r, 0, 0, 0)
+    lhs, rhs = _sides_at(rmap.r, 0, 0, 0)
     assert lhs != rhs
     assert sb.check_ybe_materialized(rmap).witness == (0, 0, 0)
 
@@ -184,10 +176,70 @@ def test_product_preservation_detects_mismatch(xor_brace, s3):
 
 def test_ybe_violations_stream():
     rmap = YbeMap(2, PERTURBED_SWAP_2)
-    witnesses = list(ybe_violations(rmap))
+    rows = list(ybe_violations(rmap))
+    witnesses = list(_witnesses(2, rows))
+    assert witnesses == list(_ref_ybe_violations(rmap))
     assert witnesses[0] == (0, 0, 0)
-    assert witnesses == sorted(witnesses)
-    assert len(witnesses) > 1
+    assert len(witnesses) > len(rows) == 1
+
+
+def _perturbed_swap(rng, n, cells):
+    """The swap map on n elements with `cells` seeded outputs changed."""
+    rows = [list(row) for row in sb.swap_map(n).r]
+    for cell in rng.sample(range(n * n), cells):
+        a, b = divmod(cell, n)
+        rows[a][b] = (rng.randrange(n), rng.randrange(n))
+    return YbeMap(n, rows)
+
+
+def _edge_maps():
+    """Maps at the row form's edges: one element; two; 16, where the last
+    index into the joined rows of R is 255; and 17, where it passes 255.
+    Each size has a solution and a map that fails."""
+    rng = random.Random(17)
+    maps = [sb.swap_map(1), sb.swap_map(2), YbeMap(2, PERTURBED_SWAP_2)]
+    for n in (16, 17):
+        maps += [sb.swap_map(n), _perturbed_swap(rng, n, 3), _perturbed_swap(rng, n, n)]
+    maps += [_perturbed_swap(rng, n, 2) for n in range(3, 7) for _ in range(5)]
+    return maps
+
+
+EDGE_MAPS = _edge_maps()
+
+
+def _sides(rows):
+    """Failing rows with their sides read out as tuples of cells."""
+    return [(a, tuple(lhs), tuple(rhs)) for a, lhs, rhs in rows]
+
+
+@pytest.mark.parametrize("rmap", EDGE_MAPS, ids=lambda m: f"n{m.n}")
+def test_ybe_rows_carry_both_sides(rmap):
+    """Every failing row lists, at every (b, c), the two sides that
+    _sides_at evaluates from the definition, and no passing row is
+    yielded; the rows' witnesses are the reference's triples."""
+    rows = list(ybe_violations(rmap))
+    assert _sides(rows) == list(_ref_ybe_rows(rmap))
+    assert all(len(lhs) == len(rhs) == rmap.n**2 for _, lhs, rhs in rows)
+    assert list(_witnesses(rmap.n, rows)) == list(_ref_ybe_violations(rmap))
+    assert sb.check_ybe(rmap) == sb.check_ybe_materialized(rmap)
+
+
+def test_ybe_edge_maps_pass_and_fail():
+    assert [(m.n, sb.check_ybe(m).ok) for m in EDGE_MAPS[:9]] == [
+        (1, True), (2, True), (2, False), (16, True), (16, False), (16, False),
+        (17, True), (17, False), (17, False),
+    ]
+
+
+@pytest.mark.parametrize("rmap", EDGE_MAPS, ids=lambda m: f"n{m.n}")
+def test_ybe_tuple_rows_carry_both_sides(rmap):
+    """The tuple rows that serve carriers above 256 elements, forced: the
+    same failing rows, and so the reference's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ybe, "_row_form", lambda n: groups._TUPLE_FORM)
+        rows = list(ybe_violations(rmap))
+    assert all(type(part) is tuple for _, *sides in rows for side in sides for part in side.parts)
+    assert _sides(rows) == list(_ref_ybe_rows(rmap))
 
 
 def test_ybemap_validation():
