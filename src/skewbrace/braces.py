@@ -17,12 +17,12 @@ which feed the Yang-Baxter map R(a, b) = (sigma_a(b), tau_b(a)) in
 Every identity checked here is swept exhaustively; witnesses are the
 lexicographically first failing tuple, with components ordered as the
 identity's variables read. The sweeps that involve sigma or tau read them
-from tables S[x][y] = sigma_x(y) and T[y][x] = tau_y(x), built in O(n^2)
-time and memory once per (dot, circ) pair: _sigma_tau_tables keeps the last
-pair's tables and serves them again while both tables are the very objects
-(``is``) of that call, so the five sweeps of one verify, build_r and the
-tau permutations of one brace share a single build. sigma_perm, and
-tau_perm on a pair with no build, make their one row alone in O(n).
+from R's two output tables S[x][y] = sigma_x(y) and U[x][y] = tau_y(x), built
+row by row (row x of U from row x of S) in O(n^2) time and memory once per
+(dot, circ) pair: _sigma_tau_tables keeps the last pair's tables and serves
+them again while both tables are the very objects (``is``) of that call, so
+the five sweeps of one verify and ybe.build_r share a single build.
+sigma_perm and tau_perm build their one permutation alone in O(n).
 
 The unit of every sweep is the failing row. For each x, both sides over all
 cells of x, (y, z) row-major for the five n^3 identities and b for the two
@@ -193,47 +193,34 @@ def tau(brace: SkewBrace, y: int, x: int) -> int:
     return c[c[circ.inv[sigma(brace, x, y)]][x]][y]
 
 
-#: The last (dot, circ, (S, T)) that _sigma_tau_tables built, or None.
-_last_sigma_tau: tuple[GroupTable, GroupTable, tuple] | None = None
+_Table = tuple[tuple[int, ...], ...]
+
+#: The last (dot, circ, (S, U)) that _sigma_tau_tables built, or None.
+_last_sigma_tau: tuple[GroupTable, GroupTable, tuple[_Table, _Table]] | None = None
 
 
-def _built_sigma_tau(
-    dot: GroupTable, circ: GroupTable
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] | None:
-    """The tables _sigma_tau_tables last built, if they are this pair's."""
-    last = _last_sigma_tau
-    if last is not None and last[0] is dot and last[1] is circ:
-        return last[2]
-    return None
-
-
-def _sigma_tau_tables(
-    dot: GroupTable, circ: GroupTable
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The tables S[x][y] = sigma_x(y) and T[y][x] = tau_y(x) of a pair.
+def _sigma_tau_tables(dot: GroupTable, circ: GroupTable) -> tuple[_Table, _Table]:
+    """R's output tables S[x][y] = sigma_x(y) and U[x][y] = tau_y(x) of a pair.
 
     The last result is kept and served again while both arguments are the
     very objects of that call: the entry holds them, so their ids are not
-    reused, and a GroupTable is immutable, so the tables stay valid. S and T
+    reused, and a GroupTable is immutable, so the tables stay valid. S and U
     are tuples of tuples, so no caller can change the shared result.
     """
     global _last_sigma_tau
-    tables = _built_sigma_tau(dot, circ)
-    if tables is None:
-        tables = _build_sigma_tau(dot, circ)
-        _last_sigma_tau = (dot, circ, tables)
-    return tables
+    last = _last_sigma_tau
+    if last is None or last[0] is not dot or last[1] is not circ:
+        last = _last_sigma_tau = (dot, circ, _build_sigma_tau(dot, circ))
+    return last[2]
 
 
-def _build_sigma_tau(
-    dot: GroupTable, circ: GroupTable
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    n = dot.n
+def _build_sigma_tau(dot: GroupTable, circ: GroupTable) -> tuple[_Table, _Table]:
     d, dinv, c, cinv = dot.table, dot.inv, circ.table, circ.inv
-    # Row x of S is row x^-1 of dot after row x of circ.
-    S = tuple([_compose(d[dinv[x]], c[x]) for x in range(n)])
-    T = tuple([tuple([c[c[cinv[S[x][y]]][x]][y] for x in range(n)]) for y in range(n)])
-    return S, T
+    # Row x of S is row x^-1 of dot after row x of circ; entry y of row x of
+    # U is tau_y(x) = sigma_x(y)^-1 o x o y, read off entry y of row x of S.
+    S = tuple([_compose(d[dinv[x]], c[x]) for x in range(dot.n)])
+    U = tuple([tuple([c[c[cinv[s]][x]][y] for y, s in enumerate(S[x])]) for x in range(dot.n)])
+    return S, U
 
 
 def _perm(n: int, image: tuple[int, ...], name: str) -> PermMap:
@@ -252,17 +239,12 @@ def sigma_perm(brace: SkewBrace, x: int) -> PermMap:
 
 
 def tau_perm(brace: SkewBrace, y: int) -> PermMap:
-    """The full permutation x -> tau_y(x), row y of T: read from the pair's
-    tables when they are built, else built alone in O(n); bijectivity is
-    asserted."""
+    """The full permutation x -> tau_y(x), column y of U, built alone in
+    O(n); bijectivity is asserted."""
     dot, circ = brace.dot, brace.circ
     circ._check_element(y)
-    tables = _built_sigma_tau(dot, circ)
-    if tables is not None:
-        image = tables[1][y]
-    else:
-        d, dinv, c, cinv = dot.table, dot.inv, circ.table, circ.inv
-        image = tuple([c[c[cinv[d[dinv[x]][c[x][y]]]][x]][y] for x in range(brace.n)])
+    d, dinv, c, cinv = dot.table, dot.inv, circ.table, circ.inv
+    image = tuple([c[c[cinv[d[dinv[x]][c[x][y]]]][x]][y] for x in range(brace.n)])
     return _perm(brace.n, image, f"tau_{y}")
 
 
@@ -314,14 +296,14 @@ def tau_antihomomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterat
     """Yield every row x where tau_{y o z}(x) != tau_z(tau_y(x)) for some
     (y, z)."""
     _require_compatible_carriers(dot, circ)
-    _, T = _sigma_tau_tables(dot, circ)
+    _, U = _sigma_tau_tables(dot, circ)
     _, table, apply, join = _row_form(dot.n)
     flat = table(circ.table)[0]
-    # Row u of the transpose of T is z -> tau_z(u).
-    _, lines, maps = table(tuple(zip(*T)))
+    # Row u of U is z -> tau_z(u).
+    _, lines, maps = table(U)
     for x in range(dot.n):
         # Row y of the sides: w -> tau_w(x) after row y of circ, and row
-        # tau_y(x) of the transpose.
+        # tau_y(x) of U.
         lhs = apply(flat, maps[x])
         rhs = join(_compose(lines, lines[x]))
         if lhs != rhs:
@@ -332,16 +314,15 @@ def sigma_twisted_product_violations(dot: GroupTable, circ: GroupTable) -> Itera
     """Yield every row x where sigma_x(y o z) != sigma_x(y) o
     sigma_{tau_y(x)}(z) for some (y, z)."""
     _require_compatible_carriers(dot, circ)
-    S, T = _sigma_tau_tables(dot, circ)
+    S, U = _sigma_tau_tables(dot, circ)
     _, table, apply, join = _row_form(dot.n)
     flat, _, cmaps = table(circ.table)
     _, lines, maps = table(S)
-    columns = tuple(zip(*T))
     for x in range(dot.n):
         # Row y of the sides: sigma_x after row y of circ, and row
         # sigma_x(y) of circ after sigma_{tau_y(x)}.
         lhs = apply(flat, maps[x])
-        rhs = join(map(apply, _compose(lines, columns[x]), _compose(cmaps, S[x])))
+        rhs = join(map(apply, _compose(lines, U[x]), _compose(cmaps, S[x])))
         if lhs != rhs:
             yield x, lhs, rhs
 
@@ -355,16 +336,20 @@ def product_preservation_violations(dot: GroupTable, circ: GroupTable) -> Iterat
     report; ybe.check_product_preservation checks the same law on an R-map
     that was not built from the pair."""
     _require_compatible_carriers(dot, circ)
-    S, T = _sigma_tau_tables(dot, circ)
-    line, table, _, _ = _row_form(dot.n)
+    yield from _product_rows(circ, *_sigma_tau_tables(dot, circ))
+
+
+def _product_rows(circ: GroupTable, first: _Table, second: _Table) -> Iterator[Row]:
+    """Yield every row x where first[x][y] o second[x][y] != x o y for some
+    y: the product-preservation law of R's output tables, (S, U) of a pair
+    or the components of an R-map."""
+    line, table, _, _ = _row_form(circ.n)
     _, clines, _ = table(circ.table)
-    columns = tuple(zip(*T))
-    for x in range(dot.n):
-        # Entry y of the left side: entry tau_y(x) of row sigma_x(y) of circ.
-        lhs = line(map(getitem, _compose(clines, S[x]), columns[x]))
-        rhs = clines[x]
-        if lhs != rhs:
-            yield x, lhs, rhs
+    for x, (f, s) in enumerate(zip(first, second)):
+        # Entry y of the left side: entry s[y] of row f[y] of circ.
+        lhs = line(map(getitem, _compose(clines, f), s))
+        if lhs != clines[x]:
+            yield x, lhs, clines[x]
 
 
 def sigma_automorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:

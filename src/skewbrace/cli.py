@@ -18,7 +18,7 @@ import time
 from itertools import chain, compress
 from operator import ne
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .braces import (
     IDENTITY_SUITE,
@@ -26,7 +26,6 @@ from .braces import (
     NotABraceError,
     Row,
     SkewBrace,
-    _sigma_tau_tables,
     parse_brace_tables_json,
     parse_brace_tables_text,
     sigma_perm,
@@ -119,23 +118,29 @@ def _print_rows(name: str, n: int, arity: int, rows: Iterable[Row]) -> None:
             write(head + lines)
 
 
+def _report(name: str, n: int, rows: Iterator[Row], all_witnesses: bool) -> bool:
+    """Print "<name>: PASS" if there is no failing row, else the first
+    witness or, with all_witnesses, every witness (_print_rows); True on a
+    pass."""
+    first = next(rows, None)
+    if first is None:
+        print(f"{name}: PASS")
+        return True
+    witness = next(_witnesses(n, [first]))
+    if all_witnesses:
+        _print_rows(name, n, len(witness), chain((first,), rows))
+    else:
+        print(f"{name}: FAIL witness={witness}")
+    return False
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     dot, circ = _load_brace_tables(args.brace_file)
-    n = dot.n
-    code = 0
-    for name, violations in IDENTITY_SUITE:
-        rows = violations(dot, circ)
-        first = next(rows, None)
-        if first is None:
-            print(f"{name}: PASS")
-            continue
-        code = 1
-        witness = next(_witnesses(n, [first]))
-        if args.all_witnesses:
-            _print_rows(name, n, len(witness), chain((first,), rows))
-        else:
-            print(f"{name}: FAIL witness={witness}")
-    return code
+    passed = [
+        _report(name, dot.n, violations(dot, circ), args.all_witnesses)
+        for name, violations in IDENTITY_SUITE
+    ]
+    return 0 if all(passed) else 1
 
 
 def _maps_json(n: int, maps: list[tuple[int, tuple[int, ...], tuple[int, ...]]]) -> str:
@@ -156,13 +161,7 @@ def cmd_maps(args: argparse.Namespace) -> int:
     brace = _load_brace(args.brace_file)
     if args.element is not None and not 0 <= args.element < brace.n:
         raise BraceError(f"element {_cut_int(args.element)} is outside 0..{brace.n - 1}")
-    if args.element is None:
-        elements = range(brace.n)
-        # Every row of S and T is printed: build both tables once, and
-        # tau_perm reads them. One element needs only its two rows.
-        _sigma_tau_tables(brace.dot, brace.circ)
-    else:
-        elements = [args.element]
+    elements = range(brace.n) if args.element is None else [args.element]
     maps = [(x, sigma_perm(brace, x).image, tau_perm(brace, x).image) for x in elements]
     if args.format == "json":
         _emit(_maps_json(brace.n, maps) + "\n", args.output)
@@ -187,18 +186,11 @@ def cmd_rmap(args: argparse.Namespace) -> int:
 
 def cmd_check_ybe(args: argparse.Namespace) -> int:
     rmap = _load_rmap(args.input_file)
-    rows = ybe_violations(rmap)
-    first = next(rows, None)
-    if first is None:
-        print("yang-baxter: PASS")
-        print(f"nondegenerate: {'yes' if check_nondegenerate(rmap) else 'no'}")
-        print(f"bijective: {'yes' if check_bijective(rmap) else 'no'}")
-        return 0
-    if args.all_witnesses:
-        _print_rows("yang-baxter", rmap.n, 3, chain((first,), rows))
-    else:
-        print(f"yang-baxter: FAIL witness={next(_witnesses(rmap.n, [first]))}")
-    return 1
+    if not _report("yang-baxter", rmap.n, ybe_violations(rmap), args.all_witnesses):
+        return 1
+    print(f"nondegenerate: {'yes' if check_nondegenerate(rmap) else 'no'}")
+    print(f"bijective: {'yes' if check_bijective(rmap) else 'no'}")
+    return 0
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:

@@ -489,13 +489,10 @@ def _byte_relabeling(p: Sequence[int]) -> tuple[Callable[[bytes], tuple], bytes]
 
 
 @lru_cache(maxsize=16)
-def _aut_relabelings(
-    rows: tuple[tuple[int, ...], ...],
-) -> tuple[tuple[Callable[[bytes], tuple], bytes], ...]:
-    # _byte_relabeling of every automorphism of the group of the table but
-    # the identity (the first of the sorted Aut), which leaves a table as it
-    # is and would build a single-index itemgetter at order 1.
-    group = GroupTable(len(rows), rows)
+def _aut_relabelings(group: GroupTable) -> tuple[tuple[Callable[[bytes], tuple], bytes], ...]:
+    # _byte_relabeling of every automorphism of the group but the identity
+    # (the first of the sorted Aut), which leaves a table as it is and would
+    # build a single-index itemgetter at order 1.
     return tuple(map(_byte_relabeling, _automorphism_images(group)[1:]))
 
 
@@ -522,7 +519,7 @@ def canonical_brace(brace: SkewBrace) -> SkewBrace:
     )
     gather, p_table = _byte_relabeling(phi)
     dot = bytes(gather(bytes(chain.from_iterable(brace.dot.table)))).translate(p_table)
-    best = min([dot, *(bytes(g(dot)).translate(t) for g, t in _aut_relabelings(rep.table))])
+    best = min([dot, *(bytes(g(dot)).translate(t) for g, t in _aut_relabelings(rep))])
     dot_rows = tuple(tuple(best[start : start + n]) for start in range(0, n * n, n))
     return SkewBrace(GroupTable(n, dot_rows), rep)
 
@@ -542,7 +539,7 @@ def _dedup_by_aut_orbit(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
         by_dot.setdefault(brace.dot.table, []).append(brace)
     reps: list[SkewBrace] = []
     for members in by_dot.values():
-        relabelings = _aut_relabelings(members[0].dot.table)
+        relabelings = _aut_relabelings(members[0].dot)
         in_orbit: set[bytes] = set()
         for brace in members:
             flat = bytes(chain.from_iterable(brace.circ.table))

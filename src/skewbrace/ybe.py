@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from operator import getitem, itemgetter
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .braces import (
     CheckResult,
     SkewBrace,
     _first,
+    _product_rows,
     _require_compatible_carriers,
     _sigma_tau_tables,
 )
@@ -71,10 +72,9 @@ class YbeMap(_Record):
 
 def build_r(brace: SkewBrace) -> YbeMap:
     """R(a, b) = (sigma_a(b), tau_b(a)) for all pairs."""
-    n = brace.n
-    S, T = _sigma_tau_tables(brace.dot, brace.circ)
-    # Row a pairs row a of S with column a of T.
-    return YbeMap(n, tuple(map(tuple, map(zip, S, zip(*T)))))
+    S, U = _sigma_tau_tables(brace.dot, brace.circ)
+    # Row a pairs row a of S with row a of U.
+    return YbeMap(brace.n, tuple(map(tuple, map(zip, S, U))))
 
 
 def swap_map(n: int) -> YbeMap:
@@ -201,15 +201,7 @@ def check_bijective(rmap: YbeMap) -> bool:
 def check_product_preservation(brace: SkewBrace, rmap: YbeMap) -> CheckResult:
     """Exhaustive check that R(a, b) = (s, t) implies s o t = a o b."""
     _require_compatible_carriers(brace, rmap)
-    n = brace.n
-    c = brace.circ.table
-    first, second = _components(rmap)
-    for a in range(n):
-        # Entry b: entry t of row s of circ, for (s, t) = R(a, b).
-        lhs = tuple(map(getitem, _compose(c, first[a]), second[a]))
-        if lhs != c[a]:
-            return _first(_witnesses(n, [(a, lhs, c[a])]))
-    return CheckResult(True)
+    return _first(_witnesses(rmap.n, _product_rows(brace.circ, *_components(rmap))))
 
 
 # --- export/import formats --------------------------------------------------

@@ -141,8 +141,9 @@ def test_sigma_tau_range_checks(xor_brace):
 @pytest.mark.parametrize("perm", [sb.sigma_perm, sb.tau_perm])
 @pytest.mark.parametrize("element", [-1, 4])
 def test_perm_range_checks(xor_brace, perm, element):
-    """sigma_perm and tau_perm read rows of the shared tables, where -1
-    would silently pick the last row; they still refuse it."""
+    """sigma_perm and tau_perm build their permutation alone from rows of
+    the brace's tables, where -1 would silently pick the last row; they
+    still refuse it."""
     with pytest.raises(sb.OutOfRangeError, match=f"value {element} is outside 0..3"):
         perm(xor_brace, element)
 

@@ -295,9 +295,9 @@ def test_table_sweeps_match_per_definition_references(groups_by_order, catalogs,
     n = dot.n
     for sweep in PAIR_SWEEPS:
         assert _sweep_witnesses(sweep, dot, circ) == list(REFERENCES[sweep](dot, circ)), sweep.__name__
-    S, T = braces._sigma_tau_tables(dot, circ)
+    S, U = braces._sigma_tau_tables(dot, circ)
     assert S == tuple(tuple(_sigma_tables(dot, circ, x, y) for y in range(n)) for x in range(n))
-    assert T == tuple(tuple(_tau_tables(dot, circ, y, x) for x in range(n)) for y in range(n))
+    assert U == tuple(tuple(_tau_tables(dot, circ, y, x) for y in range(n)) for x in range(n))
     r = _ref_r(dot, circ)
     assert list(_witnesses(n, ybe_violations(r))) == list(_ref_ybe_violations(r))
     if sb.check_compatibility(dot, circ).ok:

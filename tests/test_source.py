@@ -170,26 +170,59 @@ TEST_ONLY_NAMES = {
 }
 
 
+def _words(nodes):
+    """Every identifier and every word of every string among the nodes."""
+    words = set()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            words.add(node.name)
+        elif isinstance(node, ast.alias):
+            words.update(filter(None, (node.name, node.asname)))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words.update(re.findall(r"\w+", node.value))
+    return words
+
+
 def test_package_holds_no_test_oracle():
     """No package module defines, imports, calls, exports or documents a
     test-only name: every identifier and every word of every string (so
     __all__ entries and docstrings too) is checked."""
     found = {}
     for path in [*MODULES, PACKAGE / "__init__.py"]:
-        words = set()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                words.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                words.add(node.attr)
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                words.add(node.name)
-            elif isinstance(node, ast.alias):
-                words.update(filter(None, (node.name, node.asname)))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                words.update(re.findall(r"\w+", node.value))
+        words = _words(ast.walk(ast.parse(path.read_text())))
         if words & TEST_ONLY_NAMES:
             found[path.name] = sorted(words & TEST_ONLY_NAMES)
+    assert found == {}
+
+
+def test_sigma_tau_tables_are_named_only_in_braces_and_build_r():
+    """braces.py alone tabulates and shares S and U: outside it, the build
+    and its cache are named only in ybe.build_r and the import that serves
+    it, so cli.py names neither."""
+    names = {"_sigma_tau_tables", "_build_sigma_tau"}
+    found = {}
+    for path in [*MODULES, PACKAGE / "__init__.py"]:
+        if path.name == "braces.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "ybe.py":
+            serving = [
+                top
+                for top in tree.body
+                if isinstance(top, ast.ImportFrom) and top.module == "braces"
+                or isinstance(top, ast.FunctionDef) and top.name == "build_r"
+            ]
+            assert len(serving) == 2
+            allowed = {id(node) for top in serving for node in ast.walk(top)}
+        words = _words(node for node in ast.walk(tree) if id(node) not in allowed)
+        if words & names:
+            found[path.name] = sorted(words & names)
+    assert "cli.py" in {path.name for path in MODULES}
     assert found == {}
 
 

@@ -10,6 +10,7 @@ from oracles import _ref_ybe_rows, _ref_ybe_violations, _sides_at
 import skewbrace as sb
 from skewbrace import groups, ybe
 from skewbrace.groups import _witnesses
+from skewbrace.search import deduplicate_catalog
 from skewbrace.ybe import YbeMap, ybe_violations
 
 # Swap map on two elements with the outputs of inputs (0,0) and (0,1)
@@ -172,6 +173,45 @@ def test_product_preservation_detects_mismatch(xor_brace, s3):
     assert not sb.check_product_preservation(sb.trivial_brace(s3), sb.swap_map(6)).ok
     with pytest.raises(sb.CarrierMismatchError):
         sb.check_product_preservation(xor_brace, sb.swap_map(3))
+
+
+def _then(r, q):
+    """The table of (a, b) -> q(r(a, b)), for R-maps r and q on one carrier."""
+    return tuple(tuple(q.r[f][s] for f, s in row) for row in r.r)
+
+
+def _transposed(group):
+    """The group with x . y read as y . x."""
+    return sb.GroupTable(group.n, tuple(zip(*group.table)))
+
+
+def test_paper_maps_on_whole_catalogs(raw_catalogs, raw_catalog_8):
+    """On the 335 raw braces of orders 1-8 and the 57 iso forms of 9-15, the
+    R-map obeys two known laws: R o R = id exactly when dot is abelian
+    (Guarnieri and Vendramin), and R^-1 is the R-map of the Koch-Truman
+    opposite brace, dot transposed and the same circ (not opposite_brace,
+    which transposes dot into circ). Up to isomorphism the braces with
+    abelian dot, the classical ones, number the published counts."""
+    raw = {**raw_catalogs, 7: sb.enumerate_braces(7), 8: raw_catalog_8}
+    iso = {n: deduplicate_catalog(catalog).braces for n, catalog in raw.items()}
+    iso.update({n: sb.enumerate_braces(n, up_to_iso=True).braces for n in range(9, 16)})
+    checked = [b for n in range(1, 9) for b in raw[n].braces]
+    checked += [b for n in range(9, 16) for b in iso[n]]
+    assert len(checked) == 392
+    failures = []
+    for brace in checked:
+        n = brace.n
+        r = sb.build_r(brace)
+        identity = tuple(tuple((a, b) for b in range(n)) for a in range(n))
+        abelian = _transposed(brace.dot) == brace.dot
+        inverse = sb.build_r(sb.SkewBrace(_transposed(brace.dot), brace.circ))
+        if (_then(r, r) == identity) != abelian:
+            failures.append(("involutive iff abelian", brace))
+        if not _then(r, inverse) == identity == _then(inverse, r):
+            failures.append(("inverse is the opposite's map", brace))
+    assert failures == []
+    classical = [sum(_transposed(b.dot) == b.dot for b in iso[n]) for n in range(1, 16)]
+    assert classical == [1, 1, 1, 4, 1, 2, 1, 27, 4, 2, 1, 10, 1, 2, 1]
 
 
 def test_ybe_violations_stream():
