@@ -48,6 +48,7 @@ from .groups import (
     _load_table_fields,
     _Record,
     _row_form,
+    _table_lines,
     _witnesses,
     group_to_text,
     parse_group_text,
@@ -75,12 +76,8 @@ class CheckResult(_Record):
     """Outcome of an exhaustive identity sweep."""
 
     ok: bool
-    witness: tuple[int, ...] | None
+    witness: tuple[int, ...] | None = None
     _fields = ("ok", "witness")
-
-    def __init__(self, ok: bool, witness: tuple[int, ...] | None = None) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -148,11 +145,6 @@ class SkewBrace(_Record):
     dot: GroupTable
     circ: GroupTable
     _fields = ("dot", "circ")
-
-    def __init__(self, dot: GroupTable, circ: GroupTable) -> None:
-        object.__setattr__(self, "dot", dot)
-        object.__setattr__(self, "circ", circ)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         result = check_compatibility(self.dot, self.circ)
@@ -374,10 +366,6 @@ class IdentityReport(_Record):
     result: CheckResult
     _fields = ("name", "result")
 
-    def __init__(self, name: str, result: CheckResult) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "result", result)
-
 
 #: The identity suite, in report order. Each entry is (label, generator of
 #: failing rows).
@@ -408,10 +396,6 @@ class EquivalenceResult(_Record):
     homomorphism: CheckResult
     _fields = ("compatibility", "homomorphism")
 
-    def __init__(self, compatibility: CheckResult, homomorphism: CheckResult) -> None:
-        object.__setattr__(self, "compatibility", compatibility)
-        object.__setattr__(self, "homomorphism", homomorphism)
-
     @property
     def consistent(self) -> bool:
         return self.compatibility.ok == self.homomorphism.ok
@@ -434,8 +418,8 @@ def check_compatibility_equivalence(dot: GroupTable, circ: GroupTable) -> Equiva
 #
 # JSON: {"n": <int>, "dot": <n x n array>, "circ": <n x n array>}.
 # Text: two Cayley-table blocks (dot first), separated by one or more blank
-# lines (a line holding only whitespace counts as blank); each block is the
-# text format of skewbrace.groups.
+# lines (a line holding only spaces or tabs, groups._table_lines); each block
+# is the text format of skewbrace.groups.
 #
 # The *_tables variants validate the two group tables but not compatibility,
 # so a caller can run the identity suite on a pair that is not a brace.
@@ -449,8 +433,8 @@ def parse_brace_tables_json(source: str | dict) -> tuple[GroupTable, GroupTable]
 
 def parse_brace_tables_text(text: str) -> tuple[GroupTable, GroupTable]:
     blocks = [
-        "\n".join(lines)
-        for blank, lines in groupby(text.splitlines(), key=lambda line: not line.strip())
+        "\n".join(line for line, _ in lines)
+        for blank, lines in groupby(_table_lines(text), key=lambda line: not line[1])
         if not blank
     ]
     if len(blocks) != 2:

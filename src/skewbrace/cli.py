@@ -85,6 +85,8 @@ def _load_rmap(path: str) -> YbeMap:
     if not _is_json(text):
         return build_r(SkewBrace(*parse_brace_tables_text(text)))
     obj = _decode_json(text, ValueError)
+    if isinstance(obj, dict) and "r" in obj and {"dot", "circ"} & set(obj):
+        raise ValueError('ambiguous JSON: both an "r" field and "dot"/"circ" fields')
     if isinstance(obj, dict) and "r" in obj:
         return parse_rmap_json(obj)
     if isinstance(obj, dict) and "dot" in obj:

@@ -22,6 +22,8 @@ the same gathers build tuples. Only a row whose sides differ is scanned, by
 The package's value types (``PermMap``, ``GroupTable`` here, and the
 records of :mod:`skewbrace.braces`, :mod:`skewbrace.search` and
 :mod:`skewbrace.ybe`) are plain immutable records built on ``_Record``:
+construction by position or keyword in ``_Record.__init__`` alone, with
+``__post_init__`` as the one per-class hook that validates or normalises,
 equality and hashing by field values, a ``Name(field=value, ...)`` repr,
 no assignment after construction, and pickling and copying through their
 instance ``__dict__``. They are not dataclasses: importing ``dataclasses``
@@ -43,10 +45,14 @@ class _Record:
     """Base of the package's immutable value types.
 
     A subclass lists its compared fields in ``_fields``, in constructor
-    order; its ``__init__`` sets each with ``object.__setattr__`` and then,
-    if it validates, calls ``self.__post_init__()``, which may normalise a
-    field or add a computed one the same way. Fields left out of
-    ``_fields`` take no part in equality, hashing or the repr.
+    order, and defines no ``__init__``: the one here binds positional or
+    keyword arguments to the fields, a field left out taking its class
+    attribute as default (a field without one is required), sets each with
+    ``object.__setattr__`` and then calls ``self.__post_init__()``. That is
+    the per-class hook: it may validate, normalise a field or add a
+    computed one the same way, and is looked up on the class at every
+    construction. Fields left out of ``_fields`` take no part in equality,
+    hashing or the repr.
 
     Fields are never set or read through ``self.__dict__``: touching it
     turns the instance's inline attribute values into a dict, which slows
@@ -61,6 +67,33 @@ class _Record:
         # The compared values of an instance, fetched in C: a tuple, or the
         # value itself when there is one field.
         cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values of a call other than a full positional one."""
+        fields, name = cls._fields, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        values = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields or key in values:
+                raise TypeError(f"{name}() got an unknown or repeated argument {key!r}")
+        values.update(kwargs)
+        for key in fields:
+            if key not in values and not hasattr(cls, key):
+                raise TypeError(f"{name}() missing argument {key!r}")
+        return tuple(values[key] if key in values else getattr(cls, key) for key in fields)
+
+    def __post_init__(self) -> None:
+        pass
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -124,12 +157,18 @@ class NotAssociativeError(GroupTableError):
         self.triple = triple
 
 
+def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The gather s -> (s[i] for i in indices), a tuple built in C (also for
+    one index, where itemgetter would return the item, not a 1-tuple)."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda s: (s[i],)
+    return itemgetter(*indices)
+
+
 def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """The tuple p∘q, i.e. (p[q[0]], ..., p[q[n-1]]), built in C."""
-    if len(q) == 1:
-        # itemgetter with a single index returns the item, not a 1-tuple.
-        return (p[q[0]],)
-    return itemgetter(*q)(p)
+    return _gather(q)(p)
 
 
 class PermMap(_Record):
@@ -138,11 +177,6 @@ class PermMap(_Record):
     n: int
     image: tuple[int, ...]
     _fields = ("n", "image")
-
-    def __init__(self, n: int, image: tuple[int, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "image", image)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         image = tuple(self.image)
@@ -179,11 +213,6 @@ class GroupTable(_Record):
     #: The inverse of each element, computed by validation; not compared.
     inv: tuple[int, ...]
     _fields = ("n", "table")
-
-    def __init__(self, n: int, table: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", table)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = self.n
@@ -367,31 +396,18 @@ def _element_orders(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(orders)
 
 
-def _signature(
-    table: Sequence[Sequence[int]], extra: Sequence[Sequence[int]] | None = None
-) -> list[tuple[int, ...]]:
-    """Per element, its order in the table (and in the extra table), which
-    every isomorphism preserves."""
-    if extra is None:
-        return [(o,) for o in _element_orders(table)]
-    return list(zip(_element_orders(table), _element_orders(extra)))
-
-
 def _table_isomorphisms(
     t1: Sequence[Sequence[int]],
     t2: Sequence[Sequence[int]],
     extra1: Sequence[Sequence[int]] | None = None,
     extra2: Sequence[Sequence[int]] | None = None,
-    sig1: Sequence[tuple[int, ...]] | None = None,
-    sig2: Sequence[tuple[int, ...]] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every bijection p with p(0)=0 and p(t1[a][b]) = t2[p(a)][p(b)].
 
     When an extra table pair is given, p must transport it as well (used for
     brace isomorphism, where dot and circ must be preserved simultaneously).
     Assignments are propagated through products, so only generator images are
-    branched on; yielded in DFS order, not sorted. A caller that tests one
-    table against many passes its _signature in, so it is computed once.
+    branched on; yielded in DFS order, not sorted.
     """
     n = len(t1)
     if len(t2) != n:
@@ -400,11 +416,10 @@ def _table_isomorphisms(
     if extra1 is not None:
         assert extra2 is not None
         pairs.append((extra1, extra2))
-    if sig1 is None:
-        sig1 = _signature(t1, extra1)
-    if sig2 is None:
-        sig2 = _signature(t2, extra2)
-    if sorted(sig1) != sorted(sig2):
+    # Per element, its order in each table, which every isomorphism keeps.
+    orders1 = list(zip(*[_element_orders(src) for src, _ in pairs]))
+    orders2 = list(zip(*[_element_orders(dst) for _, dst in pairs]))
+    if sorted(orders1) != sorted(orders2):
         return
 
     p: list[int | None] = [None] * n
@@ -425,7 +440,7 @@ def _table_isomorphisms(
                         c = src[a][b]
                         img = dst[pa][pb]
                         if p[c] is None:
-                            if used[img] or sig1[c] != sig2[img]:
+                            if used[img] or orders1[c] != orders2[img]:
                                 return False
                             p[c] = img
                             used[img] = True
@@ -441,7 +456,7 @@ def _table_isomorphisms(
             yield tuple(p)  # type: ignore[arg-type]
             return
         for v in range(n):
-            if used[v] or sig2[v] != sig1[x]:
+            if used[v] or orders2[v] != orders1[x]:
                 continue
             trail = [x]
             p[x] = v
@@ -458,8 +473,7 @@ def _table_isomorphisms(
 def automorphisms(group: GroupTable) -> list[PermMap]:
     """All automorphisms of the group (bijections fixing 0 that preserve the
     table), in lexicographic order of image arrays."""
-    sig = _signature(group.table)
-    images = sorted(_table_isomorphisms(group.table, group.table, sig1=sig, sig2=sig))
+    images = sorted(_table_isomorphisms(group.table, group.table))
     return [PermMap(group.n, image) for image in images]
 
 
@@ -467,6 +481,15 @@ def automorphisms(group: GroupTable) -> list[PermMap]:
 #
 # Text format: first line n, then n lines of n space-separated integers.
 # JSON format: {"n": <int>, "table": <n x n array>}.
+
+
+def _table_lines(text: str) -> list[tuple[str, list[str]]]:
+    """Each line of a table text with its tokens. Lines end at "\\n", "\\r\\n"
+    or "\\r" and only spaces and tabs separate tokens, so a line of nothing
+    else has none (it is blank); str.splitlines and str.split would also
+    break at such characters as "\\x0c", "\\x1c", "\\x85" and NBSP."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [(line, list(filter(None, line.replace("\t", " ").split(" ")))) for line in lines]
 
 
 def _is_decimal(token: str) -> bool:
@@ -512,19 +535,18 @@ def _decimal(token: str) -> int | None:
 
 
 def parse_group_text(text: str) -> GroupTable:
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(line, tokens) for line, tokens in _table_lines(text) if tokens]
     if not lines:
         raise GroupTableError("empty table text")
-    size = lines[0].strip()
-    if not _is_decimal(size):
-        raise GroupTableError(f"first line must be the carrier size, got {_quote(lines[0])}")
+    first, (size, *rest) = lines[0]
+    if rest or not _is_decimal(size):
+        raise GroupTableError(f"first line must be the carrier size, got {_quote(first)}")
     n = _decimal(size)
     if n is None or len(lines) != n + 1:
         shown = _cut_digits(size.lstrip("0") or "0")
         raise GroupTableError(f"expected {shown} table rows, got {len(lines) - 1}")
     rows = []
-    for a, line in enumerate(lines[1:]):
-        tokens = line.split()
+    for a, (line, tokens) in enumerate(lines[1:]):
         if not all(_is_decimal(tok) for tok in tokens):
             raise GroupTableError(
                 f"entries must be non-negative decimal integers, got row {_quote(line)}"

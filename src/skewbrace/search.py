@@ -55,7 +55,6 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -66,8 +65,8 @@ from .groups import (
     _compose,
     _cut_int,
     _element_orders,
+    _gather,
     _Record,
-    _signature,
     _table_isomorphisms,
     automorphisms,
 )
@@ -101,11 +100,6 @@ class BraceCatalog(_Record):
     braces: tuple[SkewBrace, ...]
     up_to_iso: bool
     _fields = ("order", "braces", "up_to_iso")
-
-    def __init__(self, order: int, braces: tuple[SkewBrace, ...], up_to_iso: bool) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "braces", braces)
-        object.__setattr__(self, "up_to_iso", up_to_iso)
 
 
 def brace_sort_key(brace: SkewBrace) -> tuple[int, ...]:
@@ -196,17 +190,15 @@ def _class_representatives(
 ) -> list[tuple[tuple[int, ...], ...]]:
     """Partition tables into isomorphism classes; return the lexicographically
     smallest member of each class, sorted."""
-    # Each class is its first member's signature and its members.
-    classes: list[tuple[list[tuple[int, ...]], list[tuple[tuple[int, ...], ...]]]] = []
+    classes: list[list[tuple[tuple[int, ...], ...]]] = []
     for rows in tables:
-        sig = _signature(rows)
-        for first_sig, members in classes:
-            if next(_table_isomorphisms(members[0], rows, sig1=first_sig, sig2=sig), None) is not None:
+        for members in classes:
+            if next(_table_isomorphisms(members[0], rows), None) is not None:
                 members.append(rows)
                 break
         else:
-            classes.append((sig, [rows]))
-    return sorted(min(members) for _, members in classes)
+            classes.append([rows])
+    return sorted(map(min, classes))
 
 
 @lru_cache(maxsize=8)
@@ -475,7 +467,7 @@ def _lex_min_table(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
 
 
 def _byte_relabeling(p: Sequence[int]) -> tuple[Callable[[bytes], tuple], bytes]:
-    """The relabeling by p of a flat table (its n*n cells row by row, n > 1,
+    """The relabeling by p of a flat table (its n*n cells row by row,
     entries below 256) as (gather, p_table): bytes(gather(flat)).translate(
     p_table) holds p[flat[a*n + b]] in cell p[a]*n + p[b].
 
@@ -485,14 +477,13 @@ def _byte_relabeling(p: Sequence[int]) -> tuple[Callable[[bytes], tuple], bytes]
     n = len(p)
     q = sorted(range(n), key=p.__getitem__)
     starts = [a * n for a in q]
-    return itemgetter(*[start + b for start in starts for b in q]), bytes(p).ljust(256, b"\0")
+    return _gather([start + b for start in starts for b in q]), bytes(p).ljust(256, b"\0")
 
 
 @lru_cache(maxsize=16)
 def _aut_relabelings(group: GroupTable) -> tuple[tuple[Callable[[bytes], tuple], bytes], ...]:
     # _byte_relabeling of every automorphism of the group but the identity
-    # (the first of the sorted Aut), which leaves a table as it is and would
-    # build a single-index itemgetter at order 1.
+    # (the first of the sorted Aut), which leaves a table as it is.
     return tuple(map(_byte_relabeling, _automorphism_images(group)[1:]))
 
 
@@ -508,14 +499,9 @@ def canonical_brace(brace: SkewBrace) -> SkewBrace:
     """
     n = brace.n
     _check_order(n, MAX_ORDER)
-    if n == 1:
-        return brace
     circ = brace.circ.table
-    sig = _signature(circ)
     rep, phi = next(
-        (rep, phi)
-        for rep in _rep_groups(n)
-        for phi in _table_isomorphisms(circ, rep.table, sig1=sig)
+        (rep, phi) for rep in _rep_groups(n) for phi in _table_isomorphisms(circ, rep.table)
     )
     gather, p_table = _byte_relabeling(phi)
     dot = bytes(gather(bytes(chain.from_iterable(brace.dot.table)))).translate(p_table)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .braces import (
@@ -34,7 +33,7 @@ from .braces import (
     _require_compatible_carriers,
     _sigma_tau_tables,
 )
-from .groups import _compose, _cut_int, _load_table_fields, _Record, _row_form, _witnesses
+from .groups import _compose, _cut_int, _gather, _load_table_fields, _Record, _row_form, _witnesses
 
 
 class YbeMap(_Record):
@@ -43,11 +42,6 @@ class YbeMap(_Record):
     n: int
     r: tuple[tuple[tuple[int, int], ...], ...]
     _fields = ("n", "r")
-
-    def __init__(self, n: int, r: tuple[tuple[tuple[int, int], ...], ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = self.n
@@ -131,9 +125,7 @@ def ybe_violations(rmap: YbeMap) -> Iterator[tuple[int, _Triples, _Triples]]:
     _, lines2, maps2 = table(second)
     # Cell (b, c) of the right side reads r[t][u] at index q*n + u of the
     # rows of R joined in the order R2[a], the same index for every a.
-    # itemgetter with one index would give the item, not a 1-tuple.
-    cells = [q * n + u for row in rmap.r for q, u in row]
-    gather = itemgetter(*cells) if n > 1 else lambda s: (s[cells[0]],)
+    gather = _gather([q * n + u for row in rmap.r for q, u in row])
     for a in range(n):
         # Row e = R2[a][b] of R1 for each b: the f of the left side, and
         # joined, the first outputs of the rows of R in the order R2[a].

@@ -227,6 +227,15 @@ def test_brace_text_separator_may_hold_whitespace(xor_brace, separator):
     assert parse_brace_text(text.replace("\n\n", separator)) == xor_brace
 
 
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_brace_text_takes_every_line_end_and_tabs(xor_brace, line_end):
+    """Lines end at LF, CRLF or CR, and tabs separate entries as spaces do."""
+    from skewbrace.braces import brace_to_text, parse_brace_text
+
+    text = brace_to_text(xor_brace).replace(" ", " \t").replace("\n", line_end)
+    assert parse_brace_text(text) == xor_brace
+
+
 def test_brace_parser_rejections(z4):
     from skewbrace.braces import parse_brace_json, parse_brace_text
 

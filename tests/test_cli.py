@@ -479,6 +479,22 @@ def _write(tmp_path, text):
 
 XOR_BRACE_TEXT = "4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n\n4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
 
+#: Characters that str.splitlines or str.split take for a line end or for
+#: whitespace, but that the text formats do not: only LF, CRLF and CR end a
+#: line, and only spaces and tabs separate entries or make a line blank.
+NOT_SEPARATORS = {
+    "VT": "\x0b", "FF": "\x0c", "FS": "\x1c", "NEL": "\x85", "LS": "\u2028", "NBSP": "\xa0"
+}
+SEPARATOR_CASES = {
+    f"{name} {where}": (old, new.replace("#", char), message)
+    for name, char in NOT_SEPARATORS.items()
+    for where, old, new, message in [
+        ("between entries", "3 2 1 0\n", "3 2 1#0\n", "entries must be non-negative decimal"),
+        ("ending a line", "1 0 3 2\n", "1 0 3 2#", "expected 4 table rows, got 3"),
+        ("as a blank line", "\n\n", "\n#\n", "expected two table blocks separated by a blank"),
+    ]
+}
+
 
 @pytest.mark.parametrize(
     "old, new, message",
@@ -499,6 +515,7 @@ XOR_BRACE_TEXT = "4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n\n4\n0 1 2 3\n1 0 3 2\n
         ),
         ("4\n0 1 2 3\n1 2", DIGITS_4000 + "\n0 1 2 3\n1 2", "(4000 digits) table rows, got 4"),
         ("4\n0 1 2 3\n1 2", DIGITS_5000 + "\n0 1 2 3\n1 2", "(5000 digits) table rows, got 4"),
+        *SEPARATOR_CASES.values(),
     ],
     ids=[
         "cell +0",
@@ -513,6 +530,7 @@ XOR_BRACE_TEXT = "4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\n\n4\n0 1 2 3\n1 0 3 2\n
         "cell of 5000 digits after leading zeros",
         "size of 4000 digits",
         "size of 5000 digits",
+        *SEPARATOR_CASES,
     ],
 )
 def test_malformed_brace_text_exits_2(old, new, message, tmp_path, capsys):
@@ -609,6 +627,18 @@ def test_rmap_json_with_a_repeated_key_exits_2(tmp_path, capsys):
     path.write_text('{"n": 2, "r": %s, "r": %s}' % (r, r))
     assert main(["check-ybe", str(path)]) == 2
     assert "invalid JSON: duplicate key 'r'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tables", [("dot", "circ"), ("circ",)], ids=["dot and circ", "circ"])
+def test_rmap_json_with_brace_fields_too_exits_2(tables, tmp_path, capsys):
+    """An object with an "r" field and a brace's table fields could be read
+    either way, so check-ybe reads it neither way."""
+    path = tmp_path / "both.json"
+    obj = {**json.loads(XOR_BRACE_JSON), "r": [[[b, a] for b in range(4)] for a in range(4)]}
+    path.write_text(json.dumps({k: obj[k] for k in ("n", "r", *tables)}))
+    assert main(["check-ybe", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert '"r"' in err and '"dot"/"circ"' in err
 
 
 @pytest.mark.parametrize(

@@ -271,6 +271,21 @@ def test_text_parser_rejections():
         parse_group_text("2\n0 1\n1 1\n")
 
 
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\xa0"], ids=ascii)
+def test_text_parser_takes_ascii_separators_only(char):
+    """Only spaces and tabs separate entries or make a line blank, and only
+    LF, CRLF and CR end a line."""
+    from skewbrace.groups import parse_group_text
+
+    assert parse_group_text("2\n0 \t1\r\n \t\n1\t0\r") == sb.cyclic_group(2)
+    with pytest.raises(sb.GroupTableError, match="entries must be non-negative decimal"):
+        parse_group_text(f"2\n0{char}1\n1 0\n")
+    with pytest.raises(sb.GroupTableError, match="first line must be the carrier size"):
+        parse_group_text(f"2{char}0 1{char}1 0{char}")
+    with pytest.raises(sb.GroupTableError, match="expected 2 table rows, got 3"):
+        parse_group_text(f"2\n0 1\n{char}\n1 0\n")
+
+
 def test_json_parser_rejections():
     from skewbrace.groups import parse_group_json
 

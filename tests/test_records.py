@@ -130,6 +130,55 @@ def test_check_result_witness_defaults_to_none():
     assert not CheckResult(False, (0, 1))
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((2, Z2, None), {}, r"^GroupTable\(\) takes 2 arguments, got 3$"),
+        ((2,), {"rows": Z2}, r"^GroupTable\(\) got an unknown or repeated argument 'rows'$"),
+        ((2, Z2), {"n": 2}, r"^GroupTable\(\) got an unknown or repeated argument 'n'$"),
+        ((), {"table": Z2}, r"^GroupTable\(\) missing argument 'n'$"),
+    ],
+    ids=["too many positional", "unknown keyword", "field given twice", "missing field"],
+)
+def test_record_constructor_rejects_a_bad_call(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        GroupTable(*args, **kwargs)
+
+
+def test_record_constructor_binds_position_keyword_and_default():
+    assert GroupTable(2, table=Z2) == GroupTable(table=Z2, n=2) == _z2()
+    assert CheckResult(ok=False) == CheckResult(False, None)
+    with pytest.raises(TypeError, match=r"^CheckResult\(\) missing argument 'ok'$"):
+        CheckResult(witness=(0, 1))
+
+
+def test_post_init_patched_on_the_class_runs_once_per_construction(monkeypatch):
+    """A wrapper put on GroupTable.__post_init__ (as the benchmark's tracer
+    does) sees every construction, by position or by keyword, exactly once."""
+    calls = []
+    original = GroupTable.__post_init__
+
+    def traced(self):
+        calls.append(self.n)
+        original(self)
+
+    monkeypatch.setattr(GroupTable, "__post_init__", traced)
+    table = GroupTable(2, Z2)
+    assert table.inv == (0, 1)
+    GroupTable(n=2, table=Z2)
+    assert calls == [2, 2]
+
+
+def test_canonical_brace_of_order_1_is_the_brace_itself():
+    """Order 1 takes canonical_brace's general path, through one-index
+    gathers, and gives the brace back."""
+    from skewbrace.search import canonical_brace
+
+    one = GroupTable(1, ((0,),))
+    brace = SkewBrace(one, one)
+    assert canonical_brace(brace) == brace
+
+
 def test_group_table_inv_is_computed_and_not_compared():
     table = _z2()
     assert table.inv == (0, 1)

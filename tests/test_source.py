@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import skewbrace as sb
-from skewbrace import braces
+from skewbrace import braces, groups
 
 PACKAGE = Path(sb.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -272,3 +272,38 @@ def test_ybe_sweep_has_no_cell_loop():
     [sweep] = _functions("ybe.py", lambda name: name == "ybe_violations")
     assert any(isinstance(node, ast.For) for node in ast.walk(sweep))
     assert _nested_loops(sweep) == []
+
+
+def test_records_are_built_by_the_base_constructor_alone():
+    """No _Record subclass defines __init__: _Record.__init__ binds every
+    record's fields, and __post_init__ is the per-class hook."""
+    defining = [
+        (path.name, node.name)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in node.body)
+        and any(isinstance(b, ast.Name) and b.id == "_Record" for b in node.bases)
+    ]
+    assert defining == []
+    records = groups._Record.__subclasses__()
+    assert len(records) >= 8
+    assert [cls for cls in records if "__init__" in vars(cls)] == []
+
+
+def test_itemgetter_is_named_only_in_groups():
+    """groups._gather is the one C gather, so no other module handles
+    itemgetter's single-index case itself."""
+    found = [
+        path.name
+        for path in [*MODULES, PACKAGE / "__init__.py"]
+        if "itemgetter" in _words(ast.walk(ast.parse(path.read_text())))
+    ]
+    assert found == ["groups.py"]
+
+
+def test_table_isomorphisms_computes_its_own_signatures():
+    """Callers pass the tables only; the element-order signatures are the
+    search's own business."""
+    parameters = inspect.signature(groups._table_isomorphisms).parameters
+    assert list(parameters) == ["t1", "t2", "extra1", "extra2"]
