@@ -46,12 +46,12 @@ from .groups import (
     PermMap,
     _compose,
     _load_table_fields,
+    _parse_table_lines,
     _Record,
     _row_form,
     _table_lines,
     _witnesses,
     group_to_text,
-    parse_group_text,
 )
 
 
@@ -433,7 +433,7 @@ def parse_brace_tables_json(source: str | dict) -> tuple[GroupTable, GroupTable]
 
 def parse_brace_tables_text(text: str) -> tuple[GroupTable, GroupTable]:
     blocks = [
-        "\n".join(line for line, _ in lines)
+        list(lines)
         for blank, lines in groupby(_table_lines(text), key=lambda line: not line[1])
         if not blank
     ]
@@ -441,7 +441,7 @@ def parse_brace_tables_text(text: str) -> tuple[GroupTable, GroupTable]:
         raise BraceError(
             f"expected two table blocks separated by a blank line, got {len(blocks)}"
         )
-    return parse_group_text(blocks[0]), parse_group_text(blocks[1])
+    return _parse_table_lines(blocks[0]), _parse_table_lines(blocks[1])
 
 
 def parse_brace_json(text: str) -> SkewBrace:

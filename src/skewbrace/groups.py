@@ -535,7 +535,12 @@ def _decimal(token: str) -> int | None:
 
 
 def parse_group_text(text: str) -> GroupTable:
-    lines = [(line, tokens) for line, tokens in _table_lines(text) if tokens]
+    return _parse_table_lines([(line, tokens) for line, tokens in _table_lines(text) if tokens])
+
+
+def _parse_table_lines(lines: list[tuple[str, list[str]]]) -> GroupTable:
+    """The group table of a text's non-blank lines, each with its tokens
+    (_table_lines); the brace text parser passes each block's lines here."""
     if not lines:
         raise GroupTableError("empty table text")
     first, (size, *rest) = lines[0]
@@ -547,11 +552,17 @@ def parse_group_text(text: str) -> GroupTable:
         raise GroupTableError(f"expected {shown} table rows, got {len(lines) - 1}")
     rows = []
     for a, (line, tokens) in enumerate(lines[1:]):
-        if not all(_is_decimal(tok) for tok in tokens):
+        # The tokens are non-empty, so the row is all ASCII digits exactly
+        # when their concatenation is.
+        if not _is_decimal("".join(tokens)):
             raise GroupTableError(
                 f"entries must be non-negative decimal integers, got row {_quote(line)}"
             )
-        row = [_decimal(tok) for tok in tokens]
+        try:
+            row = list(map(int, tokens))
+        except ValueError:
+            # A token longer than int() converts, perhaps by leading zeros.
+            row = [_decimal(tok) for tok in tokens]
         if None in row:
             # A value too long for int() (4300 digits by default) lies
             # outside every carrier a text file can hold.

@@ -12,6 +12,12 @@ stepwise, a row a at a time over all (b, c), while
 :func:`check_ybe_materialized` builds the two factor maps on B^3 explicitly
 and composes them as lookup tables. They must always agree.
 
+The two factor tables of the materialized evaluator are cut from one tuple
+of the n^3 triple codes, so they share its ints (about 56 bytes per triple
+in all), and the sides are composed and compared a slab (one a, all (b, c))
+at a time, so neither side is ever held whole and a failing map stops at
+its first failing slab.
+
 The stepwise sweep works as the identity sweeps of :mod:`skewbrace.braces`
 do: R is split into its tables of first and second outputs, each step of
 both sides is a gather in C over a whole row, as byte strings on carriers of
@@ -152,26 +158,33 @@ def check_ybe_materialized(rmap: YbeMap) -> CheckResult:
     R is one flat table on encoded pairs, pairs[a*n + b] = first*n + second,
     and the triple (a, b, c) is encoded as (a*n + b)*n + c, so index order is
     lexicographic order. (R x id) sends p*n + c to pairs[p]*n + c: each pair
-    image v expands to v*n .. v*n + n - 1. (id x R) sends a*n^2 + p to
-    a*n^2 + pairs[p]: one shifted copy of pairs per a. Both sides are composed
-    rightmost-first by groups._compose and compared whole; only if they
-    differ is the first differing triple decoded as the witness.
+    image v expands to codes v*n .. v*n + n - 1. (id x R) sends a*n^2 + p to
+    a*n^2 + pairs[p]: slab a of the codes gathered by pairs. Both tables are
+    cut from one tuple of the n^3 codes, so they share its int objects and
+    no table holds ints of its own.
+
+    The sides are composed rightmost-first by gathers a slab (one a, all
+    (b, c)) at a time and compared slab by slab: no table of a whole side
+    is built, a failing map stops at its first failing slab, and the first
+    differing triple of that slab is the witness.
     """
     n = rmap.n
     nn = n * n
     pairs = [f * n + s for row in rmap.r for f, s in row]
-    r_x_id = tuple(chain.from_iterable(range(v * n, v * n + n) for v in pairs))
-    id_x_r = [base + v for base in range(0, nn * n, nn) for v in pairs]
-    # (R x id)(id x R) is the shared middle: lhs = AB after (R x id),
-    # rhs = (id x R) after AB.
-    ab = _compose(r_x_id, id_x_r)
-    lhs = _compose(ab, r_x_id)
-    rhs = _compose(id_x_r, ab)
-    if lhs == rhs:
-        return CheckResult(True)
-    i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-    a, rest = divmod(i, nn)
-    return CheckResult(False, (a, *divmod(rest, n)))
+    slabs = range(0, nn * n, nn)
+    codes = tuple(range(nn * n))
+    r_x_id = tuple(chain.from_iterable(codes[v * n : v * n + n] for v in pairs))
+    by_pairs = _gather(pairs)
+    id_x_r = tuple(chain.from_iterable(by_pairs(codes[lo : lo + nn]) for lo in slabs))
+    # Each code is in the tables now; the tuple would cost 8 bytes a triple.
+    del codes
+    for a, lo in enumerate(slabs):
+        lhs = _gather(_gather(r_x_id[lo : lo + nn])(id_x_r))(r_x_id)
+        rhs = _gather(_gather(id_x_r[lo : lo + nn])(r_x_id))(id_x_r)
+        if lhs != rhs:
+            i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            return CheckResult(False, (a, *divmod(i, n)))
+    return CheckResult(True)
 
 
 def check_nondegenerate(rmap: YbeMap) -> bool:

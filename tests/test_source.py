@@ -92,7 +92,14 @@ _ORACLE_AVOIDS = {
     "_cyclic_extensions",
 }
 TWINS = {
-    "check_ybe_materialized": {"ybe_violations", "check_ybe"},
+    "check_ybe_materialized": {
+        "ybe_violations",
+        "check_ybe",
+        "_components",
+        "_row_form",
+        "_Triples",
+        "_compose",
+    },
     "ybe_violations": {"check_ybe_materialized"},
     "_canonical_brace_brute_force": {
         "canonical_brace",

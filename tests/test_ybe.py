@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -340,3 +341,70 @@ def test_rmap_csv(s3):
     a, b = 2, 5
     first, second = rmap.r[a][b]
     assert f"{a},{b},{first},{second}" in lines
+
+
+def _first_failing_slab(rmap):
+    """The a of the reference's first failing triple, or None."""
+    first = next(_ref_ybe_violations(rmap), None)
+    return None if first is None else first[0]
+
+
+def _slab_edge_maps():
+    """Maps whose verdict the materialized evaluator reaches at the edges of
+    its slab loop: perturbed swaps, picked through the reference, that first
+    fail in the last slab (a = n - 1) or in an inner one (0 < a < n - 1);
+    constant maps, which are not bijective, one solving the equation and one
+    failing it everywhere; and carriers of one and two elements."""
+    rng = random.Random(25)
+    last, inner = [], []
+    while len(last) < 4 or len(inner) < 4:
+        rmap = _perturbed_swap(rng, rng.randrange(3, 7), 1)
+        a = _first_failing_slab(rmap)
+        if a == rmap.n - 1 and len(last) < 4:
+            last.append(rmap)
+        elif a is not None and 0 < a < rmap.n - 1 and len(inner) < 4:
+            inner.append(rmap)
+    constant = [YbeMap(n, [[pair] * n for _ in range(n)]) for n in (3, 5) for pair in ((0, 0), (0, 1))]
+    small = [sb.swap_map(1), sb.swap_map(2), YbeMap(2, PERTURBED_SWAP_2)]
+    # A bijection of two elements that first fails in its last slab.
+    small += [YbeMap(2, [[(0, 0), (1, 0)], [(1, 1), (0, 1)]])]
+    return last + inner + constant + small
+
+
+SLAB_EDGE_MAPS = _slab_edge_maps()
+
+
+def test_slab_edge_maps_fail_where_picked():
+    slabs = [(m.n, _first_failing_slab(m)) for m in SLAB_EDGE_MAPS]
+    assert [a == n - 1 for n, a in slabs[:4]] == [True] * 4
+    assert [0 < a < n - 1 for n, a in slabs[4:8]] == [True] * 4
+    assert [a for _, a in slabs[8:]] == [None, 0, None, 0, None, None, 0, 1]
+
+
+@pytest.mark.parametrize("rmap", SLAB_EDGE_MAPS, ids=lambda m: f"n{m.n}")
+def test_materialized_agrees_at_slab_edges(rmap):
+    """The slab-by-slab composition gives the stepwise verdict and the
+    reference's first failing triple, whichever slab that lies in."""
+    first = next(_ref_ybe_violations(rmap), None)
+    expected = sb.CheckResult(first is None, first)
+    assert sb.check_ybe_materialized(rmap) == sb.check_ybe(rmap) == expected
+
+
+def test_materialized_holds_no_side_whole():
+    """The two factor tables share one set of n^3 code ints and the sides
+    are composed a slab at a time: the peak stays under 64 bytes a triple
+    (tables of ints of their own, or a whole side, need about 100)."""
+    n = 32
+    rmap = sb.swap_map(n)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert sb.check_ybe_materialized(rmap).ok
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 64 * n**3
