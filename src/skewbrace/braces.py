@@ -29,8 +29,10 @@ cells of x, (y, z) row-major for the five n^3 identities and b for the two
 n^2 ones, are built whole by row gathers in C, as byte strings on carriers
 of at most 256 elements and as tuples above (groups._row_form), and the
 sweep yields (x, lhs, rhs) whenever they differ. No cell is visited in
-Python: groups._witnesses turns failing rows back into witness tuples with
-compress, and the CLI formats a row's witness lines the same way.
+Python: groups._differing masks a failing row's differing cells (one XOR of
+the two sides read as integers when they are byte strings), and from that
+mask groups._witnesses turns the row back into witness tuples with
+compress, and the CLI formats its witness lines the same way.
 """
 
 from __future__ import annotations
@@ -92,9 +94,10 @@ def _require_compatible_carriers(a: Any, b: Any) -> None:
 
 #: A failing row (x, lhs, rhs): both sides of an identity over every cell of
 #: x, in lexicographic order, as a byte string (n <= 256) or a tuple. Its
-#: readers (groups._witnesses, cli._print_rows) take only the sides' length
-#: and their cells in order, so the Yang-Baxter rows of ybe, whose cells are
-#: triples (ybe._Triples), are read the same way.
+#: readers (groups._witnesses, cli._print_rows) take the sides' length and
+#: the mask of differing cells that groups._differing makes of them, so the
+#: Yang-Baxter rows of ybe, whose cells are triples (groups._Triples), are
+#: read the same way.
 Row = tuple[int, Sequence[int], Sequence[int]]
 
 

@@ -16,7 +16,6 @@ import functools
 import sys
 import time
 from itertools import chain, compress
-from operator import ne
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -36,6 +35,7 @@ from .groups import (
     _cut_int,
     _decimal,
     _decode_json,
+    _differing,
     _is_decimal,
     _quote,
     _witnesses,
@@ -108,16 +108,17 @@ def _print_rows(name: str, n: int, arity: int, rows: Iterable[Row]) -> None:
 
     The line tails, "y, z)\n" for each cell of a row in three variables or
     "b)\n" for each cell of one in two, are built once. compress picks the
-    tails of the cells where a row's sides differ and the row's head joins
-    them, so a write holds at most n^2 lines."""
+    tails of the cells that groups._differing marks as failing, and the
+    row's head, put before each, joins them into one string: a write holds
+    at most n^2 lines."""
     s = [str(v) for v in range(n)]
     tails = [f"{y}, {z})\n" for y in s for z in s] if arity == 3 else [f"{b})\n" for b in s]
     write = sys.stdout.write
     for x, lhs, rhs in rows:
         head = f"{name}: FAIL witness=({s[x]}, "
-        lines = head.join(compress(tails, map(ne, lhs, rhs)))
+        lines = head.join(chain(("",), compress(tails, _differing(lhs, rhs))))
         if lines:
-            write(head + lines)
+            write(lines)
 
 
 def _report(name: str, n: int, rows: Iterator[Row], all_witnesses: bool) -> bool:

@@ -16,8 +16,10 @@ over all (b, c) as two sequences by gathers in C and compares them whole.
 every entry fits a byte, so ``_byte_table`` encodes a table as one ``bytes``
 string plus 256-byte translation rows, and ``bytes.translate`` composes a
 permutation with every row of the table in one C call; above 256 elements
-the same gathers build tuples. Only a row whose sides differ is scanned, by
-``_witnesses`` in C, for its failing cells in lexicographic order.
+the same gathers build tuples. Only a row whose sides differ is turned into
+cells: ``_differing`` marks its failing cells, by one XOR of the two sides
+read as integers when they are byte strings and by ``map`` in C when they
+are tuples, and ``_witnesses`` picks them in lexicographic order.
 
 The package's value types (``PermMap``, ``GroupTable`` here, and the
 records of :mod:`skewbrace.braces`, :mod:`skewbrace.search` and
@@ -314,6 +316,48 @@ def _row_form(n: int) -> tuple[Callable, Callable, Callable, Callable]:
     return _BYTE_FORM if n <= 256 else _TUPLE_FORM
 
 
+class _Triples:
+    """One side of a failing Yang-Baxter row: cell i is the triple
+    (x[i], y[i], z[i]) of three rows of values.
+
+    The cells are made by zip as they are read, so that a side whose parts
+    are tuples, compared cell by cell by _differing with map in C, allocates
+    no tuple per cell: zip reuses its tuple once the comparison has let it
+    go. A side whose parts are byte strings is never read cell by cell:
+    _differing masks its parts whole.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, x: Sequence[int], y: Sequence[int], z: Sequence[int]) -> None:
+        self.parts = (x, y, z)
+
+    def __len__(self) -> int:
+        return len(self.parts[0])
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        return zip(*self.parts)
+
+
+def _differing(lhs: Sequence, rhs: Sequence) -> Iterable:
+    """Per cell of a row's two sides, in order, a value that is true exactly
+    where the sides differ: the mask that compress reads.
+
+    Sides of byte strings (n <= 256) give the bytes of the XOR of the two
+    sides read as integers, so byte i is nonzero exactly when cell i
+    differs; a Yang-Baxter side (_Triples) ORs its three parts' XORs. A few
+    C calls build the mask of the whole row. Tuple sides, on larger
+    carriers, are compared cell by cell with map in C.
+    """
+    left, right = (lhs.parts, rhs.parts) if type(lhs) is _Triples else ((lhs,), (rhs,))
+    if type(left[0]) is not bytes:
+        return map(ne, lhs, rhs)
+    mask = 0
+    for a, b in zip(left, right):
+        mask |= int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return mask.to_bytes(len(lhs), "big")
+
+
 def _witnesses(
     n: int, rows: Iterable[tuple[int, Sequence[int], Sequence[int]]]
 ) -> Iterator[tuple[int, ...]]:
@@ -321,14 +365,15 @@ def _witnesses(
 
     A row's sides list its cells in lexicographic order: (y, z) row-major
     when they have n^2 entries, b when they have n (on one element, where
-    the two agree, every identity holds). Each cell whose two entries
-    differ gives (x, y, z) or (x, b), picked by compress in C.
+    the two agree, every identity holds). Each cell where _differing marks
+    the sides as different gives (x, y, z) or (x, b), picked by compress in
+    C.
     """
     carrier = range(n)
     return chain.from_iterable(
         compress(
             product((x,), carrier, carrier) if len(lhs) > n else product((x,), carrier),
-            map(ne, lhs, rhs),
+            _differing(lhs, rhs),
         )
         for x, lhs, rhs in rows
     )

@@ -412,8 +412,8 @@ def _lex_min_table(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
     docstring), so only labelings of that shape are searched: an element g
     of order m gets label 1 and g^j h_i gets label i*m + j, where h_0 = 0 and
     each h_i lies outside the cosets <g> h_k labeled before it. A partial
-    labeling is dropped as soon as the labeled prefix of row 2 exceeds the
-    best table so far.
+    labeling is dropped as soon as the labeled prefix of row m, the first row
+    not fixed by that shape, exceeds the best table so far.
     """
     n = len(rows)
     if n == 1:
@@ -424,12 +424,14 @@ def _lex_min_table(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
     q = [0] * n
 
     def worse_prefix(labeled: int) -> bool:
-        # Row 2's cells in columns 0..labeled-1 are known once their product
-        # is labeled; an unlabeled product gets a label >= labeled.
-        if best is None or labeled <= 2:
+        # Rows 0..m-1 are the powers of g, fixed by the shape, so row m (h_1)
+        # is the first that depends on a choice. Its cells in columns
+        # 0..labeled-1 are known once their product is labeled; an unlabeled
+        # product gets a label >= labeled.
+        if best is None or labeled <= m:
             return False
-        best_row = best[2]
-        src = rows[q[2]]
+        best_row = best[m]
+        src = rows[q[m]]
         for b in range(labeled):
             v = p[src[q[b]]]
             if v is None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .braces import (
     CheckResult,
@@ -39,7 +39,16 @@ from .braces import (
     _require_compatible_carriers,
     _sigma_tau_tables,
 )
-from .groups import _compose, _cut_int, _gather, _load_table_fields, _Record, _row_form, _witnesses
+from .groups import (
+    _compose,
+    _cut_int,
+    _gather,
+    _load_table_fields,
+    _Record,
+    _row_form,
+    _Triples,
+    _witnesses,
+)
 
 
 class YbeMap(_Record):
@@ -88,27 +97,6 @@ def _components(
     """The tables R1[a][b] and R2[a][b] of the first and second outputs of
     R(a, b), each made by zip in C."""
     return tuple(zip(*[zip(*row) for row in rmap.r]))
-
-
-class _Triples:
-    """One side of a failing Yang-Baxter row: cell i is the triple
-    (x[i], y[i], z[i]) of three rows of values.
-
-    The cells are made by zip as they are read, so that the row's readers,
-    which compare the two sides cell by cell with map in C, allocate no
-    tuple per cell: zip reuses its tuple once the comparison has let it go.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, x: Sequence[int], y: Sequence[int], z: Sequence[int]) -> None:
-        self.parts = (x, y, z)
-
-    def __len__(self) -> int:
-        return len(self.parts[0])
-
-    def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        return zip(*self.parts)
 
 
 def ybe_violations(rmap: YbeMap) -> Iterator[tuple[int, _Triples, _Triples]]:

@@ -823,13 +823,51 @@ def test_print_witnesses_matches_percent_d_reference(n, arity, capsys):
     assert capsys.readouterr().out == "".join(line % w for w in sorted(witnesses))
 
 
+def _ref_witnesses(n, arity, rows):
+    """(x, *cell) for each cell, in order, of each row (x, lhs, rhs) whose
+    two sides differ there, compared in Python one cell at a time."""
+    for x, lhs, rhs in rows:
+        cells = itertools.product(range(n), repeat=arity - 1)
+        yield from ((x, *cell) for cell, l, r in zip(cells, lhs, rhs) if l != r)
+
+
+#: How the two sides of a failing cell differ, as (lhs, rhs) made from the
+#: left side's value v: in the lowest or the highest bit alone, or as 0
+#: against 255 either way round. A mask made by XOR must mark each.
+BYTE_DIFFERENCES = [
+    lambda v: (v, v ^ 1),
+    lambda v: (v, v ^ 0x80),
+    lambda v: (0, 255),
+    lambda v: (255, 0),
+]
+
+
+def _sides_differing_at(rng, size, mask, parts=1):
+    """Two sides of `parts` random byte strings of `size` cells each, equal
+    but at the cells of the mask; at each of those one part, picked at
+    random, differs in one of the BYTE_DIFFERENCES ways, picked in turn."""
+    lhs = [bytearray(rng.randbytes(size)) for _ in range(parts)]
+    rhs = [bytearray(part) for part in lhs]
+    for k, i in enumerate(sorted(mask)):
+        part = rng.randrange(parts)
+        lhs[part][i], rhs[part][i] = BYTE_DIFFERENCES[k % len(BYTE_DIFFERENCES)](lhs[part][i])
+    return list(map(bytes, lhs)), list(map(bytes, rhs))
+
+
+def _tuple_rows(rows):
+    return [(x, tuple(lhs), tuple(rhs)) for x, lhs, rhs in rows]
+
+
 @pytest.mark.parametrize("n", [1, 2, 10, 11, 101])
 @pytest.mark.parametrize("arity", [2, 3])
 def test_print_rows_matches_percent_d_reference(n, arity, capsys):
     """verify's row writer prints, for each row (x, lhs, rhs), the "%d"
     line of (x, *cell) for every cell where the sides differ, in cell
-    order: rows with no, one and every failing cell, at every label width
-    up to three digits."""
+    order: rows with no, one and every failing cell, whose failing cells
+    differ by one, in one bit alone or as 0 against 255, at every label
+    width up to three digits. The same rows as tuples (the row form above
+    256 elements) print the same lines, and _witnesses gives the same
+    cells in both forms."""
     rng = random.Random(n * 10 + arity)
     cells = list(itertools.product(range(n), repeat=arity - 1))
     corners = sorted({v for v in (0, 1, n // 2, n - 2, n - 1, 9, 10, 99, 100) if 0 <= v < n})
@@ -841,12 +879,48 @@ def test_print_rows_matches_percent_d_reference(n, arity, capsys):
             lhs = bytes(rng.randrange(n) for _ in cells)
             rhs = bytes((v + 1) % 256 if i in mask else v for i, v in enumerate(lhs))
             rows.append((x, lhs, rhs))
-    cli._print_rows("sweep", n, arity, iter(rows))
+    for x in corners:
+        for mask in masks[1:5]:
+            [lhs], [rhs] = _sides_differing_at(rng, len(cells), mask)
+            rows.append((x, lhs, rhs))
     line = f"sweep: FAIL witness=({', '.join(['%d'] * arity)})\n"
-    expected = [
-        line % (x, *cell) for x, lhs, rhs in rows for cell, l, r in zip(cells, lhs, rhs) if l != r
-    ]
-    assert capsys.readouterr().out == "".join(expected)
+    expected = list(_ref_witnesses(n, arity, rows))
+    cli._print_rows("sweep", n, arity, iter(rows))
+    cli._print_rows("sweep", n, arity, iter(_tuple_rows(rows)))
+    assert capsys.readouterr().out == "".join(line % w for w in expected) * 2
+    # _witnesses reads sides of n cells as b and of n^2 as (y, z); on one
+    # element, where the two agree, it gives the shorter tuple.
+    expected = list(_ref_witnesses(n, 2 if n == 1 else arity, rows))
+    assert list(groups._witnesses(n, rows)) == expected
+    assert list(groups._witnesses(n, _tuple_rows(rows))) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 16, 17])
+@pytest.mark.parametrize("form", ["bytes", "tuples"])
+def test_triple_rows_match_per_cell_reference(n, form, capsys):
+    """Yang-Baxter rows, whose sides are groups._Triples of three parts,
+    with failing cells where one part alone differs, in one bit or as 0
+    against 255, in byte parts and in tuple parts: _print_rows prints the
+    "%d" line and _witnesses gives the triple of every cell a per-cell
+    comparison of the triples finds, in order."""
+    rng = random.Random(n)
+    size = n * n
+    masks = [set(), {0}, {size - 1}, {size // 2}, set(range(size))]
+    masks += [set(rng.sample(range(size), rng.randrange(size + 1))) for _ in range(3)]
+    line = bytes if form == "bytes" else tuple
+    rows = []
+    for x in sorted({0, n // 2, n - 1}):
+        for mask in masks:
+            lhs, rhs = _sides_differing_at(rng, size, mask, parts=3)
+            rows.append((x, groups._Triples(*map(line, lhs)), groups._Triples(*map(line, rhs))))
+    assert all(type(part) is line for _, *sides in rows for side in sides for part in side.parts)
+    cli._print_rows("yang-baxter", n, 3, iter(rows))
+    expected = list(_ref_witnesses(n, 3, rows))
+    assert capsys.readouterr().out == "".join(
+        "yang-baxter: FAIL witness=(%d, %d, %d)\n" % w for w in expected
+    )
+    if n > 1:
+        assert list(groups._witnesses(n, rows)) == expected
 
 
 def test_reused_parser_keeps_no_state_between_calls(xor_file, tmp_path, capsys):

@@ -355,6 +355,19 @@ def test_group_reps_pinned():
     assert hashlib.sha256(reps.encode()).hexdigest() == GROUP_REPS_SHA256
 
 
+#: Orders above 12 whose class minima _lex_min_table finds in under a second,
+#: and the sha256 of their compact JSON as the search gave it when it still
+#: pruned on row 2 whatever the smallest prime (about 70 s, order 21 alone
+#: a minute). Orders 16 and 20, where that prime is 2, take seconds.
+GROUP_REPS_ABOVE_12 = (13, 14, 15, 17, 18, 19, 21, 22, 23)
+GROUP_REPS_ABOVE_12_SHA256 = "4a18fd4288d08ffd4ad6504efd0a7ecd74e352074292de892010f0cde3172f9b"
+
+
+def test_group_reps_above_order_12_pinned():
+    reps = json.dumps([_group_reps(n) for n in GROUP_REPS_ABOVE_12], separators=(",", ":"))
+    assert hashlib.sha256(reps.encode()).hexdigest() == GROUP_REPS_ABOVE_12_SHA256
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_lex_min_table_matches_brute_force(n):
     """The one-table search gives the dot table of the brute-force canonical
@@ -369,23 +382,58 @@ def test_lex_min_table_matches_brute_force(n):
 
 
 def test_group_class_counts_match_oeis_a000001():
-    """The number of groups of each order 1-16 (OEIS A000001), counted
+    """The number of groups of each order 1-31 (OEIS A000001), counted
     before canonical forms are taken."""
-    counts = [len(_group_classes(n)) for n in range(1, 17)]
-    assert counts == [1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14]
+    counts = [len(_group_classes(n)) for n in range(1, 32)]
+    assert counts == [
+        1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1, 14,
+        1, 5, 1, 5, 2, 2, 1, 15, 2, 2, 5, 4, 1, 4, 1,
+    ]
 
 
-@pytest.mark.parametrize(
-    "order, raw, iso",
-    [(9, 12, 4), (10, 14, 6), (11, 1, 1), (12, 116, 38), (13, 1, 1), (14, 18, 6), (15, 1, 1)],
-)
+#: (order, raw, up to isomorphism) above the orders of expected_counts.txt.
+COUNTS_ABOVE_ORDER_8 = [
+    (9, 12, 4), (10, 14, 6), (11, 1, 1), (12, 116, 38), (13, 1, 1), (14, 18, 6), (15, 1, 1),
+]
+
+
+@pytest.mark.parametrize("order, raw, iso", COUNTS_ABOVE_ORDER_8)
 def test_counts_above_order_8(order, raw, iso):
     """Up to isomorphism these are the published counts (Guarnieri and
     Vendramin, Math. Comp. 86, 2017); the raw counts are this package's own
-    measurement, not yet confirmed by a second route."""
+    measurement, confirmed by the orbit-stabiliser sums below."""
     catalog = sb.enumerate_braces(order)
     assert len(catalog.braces) == raw
     assert len(deduplicate_catalog(catalog).braces) == iso
+
+
+def _stabiliser_size(automorphisms, table):
+    """How many of the automorphisms (image tuples) fix the table, checked
+    cell by cell: p fixes it when p[t[a][b]] == t[p[a]][p[b]] everywhere."""
+    cells = [(a, b, v) for a, row in enumerate(table) for b, v in enumerate(row)]
+    return sum(all(p[v] == table[p[a]][p[b]] for a, b, v in cells) for p in automorphisms)
+
+
+def test_raw_counts_by_orbit_stabiliser():
+    """A second route to the raw counts: the raw catalog holds one dot table
+    per group class and every circ table on it, and those circ tables fall
+    into Aut(dot) orbits, one per brace class, of size |Aut(dot)| / |Stab|
+    with Stab the automorphisms of dot that also fix circ. So each raw count
+    is that sum over the catalog up to isomorphism. The stabiliser is found
+    cell by cell, sharing nothing with the dedup's orbit walk."""
+    pinned = {order: raw for order, (raw, _) in sb.load_expected_counts().items()}
+    pinned.update((order, raw) for order, raw, _ in COUNTS_ABOVE_ORDER_8)
+    sums, counts = {}, {}
+    for order in range(1, 16):
+        catalog = sb.enumerate_braces(order)
+        counts[order] = len(catalog.braces)
+        sums[order] = 0
+        for brace in deduplicate_catalog(catalog).braces:
+            auts = [perm.image for perm in sb.automorphisms(brace.dot)]
+            fixing = _stabiliser_size(auts, brace.circ.table)
+            assert len(auts) % fixing == 0
+            sums[order] += len(auts) // fixing
+    assert sums == counts == pinned
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -99,6 +99,7 @@ TWINS = {
         "_row_form",
         "_Triples",
         "_compose",
+        "_differing",
     },
     "ybe_violations": {"check_ybe_materialized"},
     "_canonical_brace_brute_force": {
@@ -314,3 +315,21 @@ def test_table_isomorphisms_computes_its_own_signatures():
     search's own business."""
     parameters = inspect.signature(groups._table_isomorphisms).parameters
     assert list(parameters) == ["t1", "t2", "extra1", "extra2"]
+
+
+def test_witness_readers_share_one_mask():
+    """groups._differing is the one definition of a failing cell: the two
+    readers of failing rows, _witnesses (the first witness, CheckResult)
+    and cli._print_rows (the streamed lines), call it and compare no cells
+    with map(ne, ...) of their own."""
+    readers = _functions("groups.py", lambda name: name == "_witnesses")
+    readers += _functions("cli.py", lambda name: name == "_print_rows")
+    assert len(readers) == 2
+    for function in readers:
+        called = {
+            node.func.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert "_differing" in called, function.name
+        assert "map" not in called and "ne" not in _words(ast.walk(function)), function.name

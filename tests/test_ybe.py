@@ -275,12 +275,14 @@ def test_ybe_edge_maps_pass_and_fail():
 @pytest.mark.parametrize("rmap", EDGE_MAPS, ids=lambda m: f"n{m.n}")
 def test_ybe_tuple_rows_carry_both_sides(rmap):
     """The tuple rows that serve carriers above 256 elements, forced: the
-    same failing rows, and so the reference's."""
+    same failing rows, and so the reference's, and the reference's
+    witnesses."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ybe, "_row_form", lambda n: groups._TUPLE_FORM)
         rows = list(ybe_violations(rmap))
     assert all(type(part) is tuple for _, *sides in rows for side in sides for part in side.parts)
     assert _sides(rows) == list(_ref_ybe_rows(rmap))
+    assert list(_witnesses(rmap.n, rows)) == list(_ref_ybe_violations(rmap))
 
 
 def test_ybemap_validation():
