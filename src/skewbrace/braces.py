@@ -28,24 +28,30 @@ The unit of every sweep is the failing row. For each x, both sides over all
 cells of x, (y, z) row-major for the five n^3 identities and b for the two
 n^2 ones, are built whole by row gathers in C, as byte strings on carriers
 of at most 256 elements and as tuples above (groups._row_form), and the
-sweep yields (x, lhs, rhs) whenever they differ. No cell is visited in
-Python: groups._differing masks a failing row's differing cells (one XOR of
-the two sides read as integers when they are byte strings), and from that
-mask groups._witnesses turns the row back into witness tuples with
-compress, and the CLI formats its witness lines the same way.
+sweep yields (x, lhs, rhs) whenever they differ. Five of the paper's laws
+have one of two row shapes: x -> act[x] a homomorphism (groups._action_rows:
+associativity and the sigma homomorphism) or a homomorphism twisted on its
+right-hand side (_twisted_rows: compatibility, sigma automorphism and the
+twisted product). No cell is visited in Python: groups._differing masks a
+failing row's differing cells (one XOR of the two sides read as integers
+when they are byte strings), and from that mask groups._witnesses turns the
+row back into witness tuples with compress (_first reads the first, for
+every check here and in ybe), and the CLI formats its witness lines the same
+way.
 """
 
 from __future__ import annotations
 
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import getitem
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import json
 
 from .groups import (
     GroupTable,
     PermMap,
+    _action_rows,
     _compose,
     _load_table_fields,
     _parse_table_lines,
@@ -99,42 +105,54 @@ def _require_compatible_carriers(a: Any, b: Any) -> None:
 #: Yang-Baxter rows of ybe, whose cells are triples (groups._Triples), are
 #: read the same way.
 Row = tuple[int, Sequence[int], Sequence[int]]
+_Table = tuple[tuple[int, ...], ...]
+
+
+def _twisted_rows(
+    act: _Table, op: _Table, twists: Iterable[Sequence[int]], shifts: Iterable[Sequence[int]]
+) -> Iterator[Row]:
+    """Yield every row x where act[x][op[y][z]] != op[f[y]][act[g[y]][z]]
+    for some (y, z), f and g being row x of twists and of shifts: act[x] is
+    a homomorphism of op twisted on its right, as compatibility (circ, dot,
+    y -> (x o y) . x^-1, constant x), sigma_x in Aut(B, .) (S, dot, S,
+    constant x) and the twisted product (S, circ, S, U) say. Row y of the
+    sides is row x of act after row y of op, and row f[y] of op after row
+    g[y] of act."""
+    _, table, apply, join = _row_form(len(act))
+    flat, _, opmaps = table(op)
+    _, lines, maps = table(act)
+    for x, (f, g) in enumerate(zip(twists, shifts)):
+        lhs = apply(flat, maps[x])
+        rhs = join(map(apply, _compose(lines, g), _compose(opmaps, f)))
+        if lhs != rhs:
+            yield x, lhs, rhs
+
+
+def _constant_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """The shifts g[y] = x: row x is x repeated n times."""
+    return ((x,) * n for x in range(n))
 
 
 def compatibility_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:
     """Yield every row x where x o (y.z) != (x o y) . x^-1 . (x o z) for
     some (y, z)."""
     _require_compatible_carriers(dot, circ)
-    n = dot.n
-    d, dinv, c = dot.table, dot.inv, circ.table
-    _, table, apply, join = _row_form(n)
-    flat, _, dmaps = table(d)
-    _, clines, cmaps = table(c)
-    columns = tuple(zip(*d))
-    for x in range(n):
-        # Row y of the sides, over z: x o - after row y of dot, and row
-        # (x o y) . x^-1 of dot after x o -.
-        lhs = apply(flat, cmaps[x])
-        rhs = join(map(apply, repeat(clines[x]), _compose(dmaps, _compose(columns[dinv[x]], c[x]))))
-        if lhs != rhs:
-            yield x, lhs, rhs
+    n, dinv, c = dot.n, dot.inv, circ.table
+    columns = tuple(zip(*dot.table))
+    # Entry y of twist x is (x o y) . x^-1: column x^-1 of dot after x o -.
+    twists = (_compose(columns[dinv[x]], c[x]) for x in range(n))
+    yield from _twisted_rows(c, dot.table, twists, _constant_rows(n))
 
 
 def check_compatibility(dot: GroupTable, circ: GroupTable) -> CheckResult:
     """Exhaustively test the compatibility condition over all n^3 triples."""
-    return _check(compatibility_violations, dot, circ)
+    return _first(dot.n, compatibility_violations(dot, circ))
 
 
-def _first(witnesses: Iterator[tuple[int, ...]]) -> CheckResult:
-    witness = next(witnesses, None)
+def _first(n: int, rows: Iterable[Row]) -> CheckResult:
+    """The first witness of a row sweep on n elements, as a CheckResult."""
+    witness = next(_witnesses(n, rows), None)
     return CheckResult(witness is None, witness)
-
-
-def _check(
-    sweep: Callable[[GroupTable, GroupTable], Iterator[Row]], dot: GroupTable, circ: GroupTable
-) -> CheckResult:
-    """The first witness of a row sweep on a pair."""
-    return _first(_witnesses(dot.n, sweep(dot, circ)))
 
 
 class SkewBrace(_Record):
@@ -187,8 +205,6 @@ def tau(brace: SkewBrace, y: int, x: int) -> int:
     c = circ.table
     return c[c[circ.inv[sigma(brace, x, y)]][x]][y]
 
-
-_Table = tuple[tuple[int, ...], ...]
 
 #: The last (dot, circ, (S, U)) that _sigma_tau_tables built, or None.
 _last_sigma_tau: tuple[GroupTable, GroupTable, tuple[_Table, _Table]] | None = None
@@ -275,16 +291,8 @@ def sigma_homomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator
     """Yield every row x where sigma_{x o y}(z) != sigma_x(sigma_y(z)) for
     some (y, z)."""
     _require_compatible_carriers(dot, circ)
-    c = circ.table
     S, _ = _sigma_tau_tables(dot, circ)
-    _, table, apply, join = _row_form(dot.n)
-    flat, lines, maps = table(S)
-    for x in range(dot.n):
-        # Row y of the sides: sigma_{x o y}, and sigma_x after sigma_y.
-        lhs = join(_compose(lines, c[x]))
-        rhs = apply(flat, maps[x])
-        if lhs != rhs:
-            yield x, lhs, rhs
+    yield from _action_rows(S, circ.table)
 
 
 def tau_antihomomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:
@@ -310,16 +318,7 @@ def sigma_twisted_product_violations(dot: GroupTable, circ: GroupTable) -> Itera
     sigma_{tau_y(x)}(z) for some (y, z)."""
     _require_compatible_carriers(dot, circ)
     S, U = _sigma_tau_tables(dot, circ)
-    _, table, apply, join = _row_form(dot.n)
-    flat, _, cmaps = table(circ.table)
-    _, lines, maps = table(S)
-    for x in range(dot.n):
-        # Row y of the sides: sigma_x after row y of circ, and row
-        # sigma_x(y) of circ after sigma_{tau_y(x)}.
-        lhs = apply(flat, maps[x])
-        rhs = join(map(apply, _compose(lines, U[x]), _compose(cmaps, S[x])))
-        if lhs != rhs:
-            yield x, lhs, rhs
+    yield from _twisted_rows(S, circ.table, S, U)
 
 
 def product_preservation_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:
@@ -352,16 +351,7 @@ def sigma_automorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator
     some (y, z)."""
     _require_compatible_carriers(dot, circ)
     S, _ = _sigma_tau_tables(dot, circ)
-    _, table, apply, join = _row_form(dot.n)
-    flat, _, dmaps = table(dot.table)
-    _, lines, maps = table(S)
-    for x in range(dot.n):
-        # Row y of the sides: sigma_x after row y of dot, and row
-        # sigma_x(y) of dot after sigma_x.
-        lhs = apply(flat, maps[x])
-        rhs = join(map(apply, repeat(lines[x]), _compose(dmaps, S[x])))
-        if lhs != rhs:
-            yield x, lhs, rhs
+    yield from _twisted_rows(S, dot.table, S, _constant_rows(dot.n))
 
 
 class IdentityReport(_Record):
@@ -389,7 +379,9 @@ def brace_identity_suite(dot: GroupTable, circ: GroupTable) -> list[IdentityRepo
     The pair does not have to be a brace; failing identities report their
     first witness.
     """
-    return [IdentityReport(name, _check(sweep, dot, circ)) for name, sweep in IDENTITY_SUITE]
+    return [
+        IdentityReport(name, _first(dot.n, sweep(dot, circ))) for name, sweep in IDENTITY_SUITE
+    ]
 
 
 class EquivalenceResult(_Record):
@@ -413,7 +405,7 @@ def check_compatibility_equivalence(dot: GroupTable, circ: GroupTable) -> Equiva
     """
     return EquivalenceResult(
         check_compatibility(dot, circ),
-        _check(sigma_homomorphism_violations, dot, circ),
+        _first(dot.n, sigma_homomorphism_violations(dot, circ)),
     )
 
 

@@ -129,11 +129,10 @@ def _report(name: str, n: int, rows: Iterator[Row], all_witnesses: bool) -> bool
     if first is None:
         print(f"{name}: PASS")
         return True
-    witness = next(_witnesses(n, [first]))
     if all_witnesses:
-        _print_rows(name, n, len(witness), chain((first,), rows))
+        _print_rows(name, n, 3 if len(first[1]) > n else 2, chain((first,), rows))
     else:
-        print(f"{name}: FAIL witness={witness}")
+        print(f"{name}: FAIL witness={next(_witnesses(n, [first]))}")
     return False
 
 

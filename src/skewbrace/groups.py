@@ -9,17 +9,19 @@ Conventions used throughout the package:
 * every ``GroupTable`` is fully validated on construction and immutable
   afterwards, so instances may be shared freely across threads/processes.
 
-Exhaustive checks run a row at a time. The associativity check (and the
-identity sweeps of :mod:`skewbrace.braces`) builds, for each a, both sides
-over all (b, c) as two sequences by gathers in C and compares them whole.
-``_row_form`` picks the sequences: on a carrier of at most 256 elements
-every entry fits a byte, so ``_byte_table`` encodes a table as one ``bytes``
-string plus 256-byte translation rows, and ``bytes.translate`` composes a
-permutation with every row of the table in one C call; above 256 elements
-the same gathers build tuples. Only a row whose sides differ is turned into
-cells: ``_differing`` marks its failing cells, by one XOR of the two sides
-read as integers when they are byte strings and by ``map`` in C when they
-are tuples, and ``_witnesses`` picks them in lexicographic order.
+Exhaustive checks run a row at a time. ``_action_rows`` sweeps the law
+act[op[x][y]][z] = act[x][act[y][z]], which is associativity when act = op
+and Proposition 1 of :mod:`skewbrace.braces` when act = S and op = circ: for
+each x it builds both sides over all (y, z) as two sequences by gathers in C
+and compares them whole, as the identity sweeps of braces do. ``_row_form``
+picks the sequences: on a carrier of at most 256 elements every entry fits a
+byte, so ``_byte_table`` encodes a table as one ``bytes`` string plus
+256-byte translation rows, and ``bytes.translate`` composes a permutation
+with every row of the table in one C call; above 256 elements the same
+gathers build tuples. Only a row whose sides differ is turned into cells:
+``_differing`` marks its failing cells, by one XOR of the two sides read as
+integers when they are byte strings and by ``map`` in C when they are
+tuples, and ``_witnesses`` picks them in lexicographic order.
 
 The package's value types (``PermMap``, ``GroupTable`` here, and the
 records of :mod:`skewbrace.braces`, :mod:`skewbrace.search` and
@@ -173,6 +175,11 @@ def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return _gather(q)(p)
 
 
+def _inverse(p: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of the permutation p of 0..n-1, built in C."""
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
 class PermMap(_Record):
     """A bijection on 0..n-1, stored as its image array."""
 
@@ -194,10 +201,7 @@ class PermMap(_Record):
         return PermMap(self.n, _compose(self.image, other.image))
 
     def inverse(self) -> "PermMap":
-        inv = [0] * self.n
-        for i, v in enumerate(self.image):
-            inv[v] = i
-        return PermMap(self.n, tuple(inv))
+        return PermMap(self.n, _inverse(self.image))
 
 
 class GroupTable(_Record):
@@ -379,18 +383,23 @@ def _witnesses(
     )
 
 
-def _associativity_witness(rows: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
-    """The lexicographically first (a, b, c) with (ab)c != a(bc), or None."""
-    n = len(rows)
-    _, table, apply, join = _row_form(n)
-    flat, lines, maps = table(rows)
-    for a in range(n):
-        # Row b of (ab)c is row ab; row b of a(bc) is row b followed by a.
-        lhs = join(_compose(lines, rows[a]))
-        rhs = apply(flat, maps[a])
+def _action_rows(act: tuple[tuple[int, ...], ...], op: Sequence[Sequence[int]]) -> Iterator[tuple]:
+    """Yield every row (x, lhs, rhs) where act[op[x][y]][z] != act[x][act[y][z]]
+    for some (y, z): x -> act[x] is a homomorphism, as associativity (act =
+    op) and Proposition 1 (act = S, op = circ) say. Row y of the sides is
+    row op[x][y] of act, and row x of act after row y."""
+    _, table, apply, join = _row_form(len(act))
+    flat, lines, maps = table(act)
+    for x, row in enumerate(op):
+        lhs = join(_compose(lines, row))
+        rhs = apply(flat, maps[x])
         if lhs != rhs:
-            return next(_witnesses(n, [(a, lhs, rhs)]))
-    return None
+            yield x, lhs, rhs
+
+
+def _associativity_witness(rows: tuple[tuple[int, ...], ...]) -> tuple[int, int, int] | None:
+    """The lexicographically first (a, b, c) with (ab)c != a(bc), or None."""
+    return next(_witnesses(len(rows), _action_rows(rows, rows)), None)
 
 
 def cyclic_group(n: int) -> GroupTable:

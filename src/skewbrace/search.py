@@ -24,7 +24,8 @@ Catalogs are canonically sorted (lexicographic on the concatenated
 circ-then-dot tables) so that both routes, and repeated runs, produce
 byte-identical output. Up-to-isomorphism entries are canonical forms: the
 lexicographically smallest (circ, dot) relabeling fixing 0. Each group class
-is represented by its lexicographically smallest table (_group_reps).
+is represented by its lexicographically smallest table, validated once as a
+GroupTable and cached per order (_group_reps).
 
 A class minimum is not found by trying every relabeling. If p is the
 smallest prime dividing n, every group of order n has elements of order p and
@@ -66,6 +67,7 @@ from .groups import (
     _cut_int,
     _element_orders,
     _gather,
+    _inverse,
     _Record,
     _table_isomorphisms,
     automorphisms,
@@ -102,11 +104,11 @@ class BraceCatalog(_Record):
     _fields = ("order", "braces", "up_to_iso")
 
 
-def brace_sort_key(brace: SkewBrace) -> tuple[int, ...]:
-    """Lexicographic key on the concatenated circ-then-dot tables."""
-    return tuple(v for row in brace.circ.table for v in row) + tuple(
-        v for row in brace.dot.table for v in row
-    )
+def brace_sort_key(brace: SkewBrace) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Lexicographic key on the concatenated circ-then-dot tables: the pair
+    orders as the concatenation, since every row of one order has n entries
+    and row 0 of every table is 0..n-1 (a smaller order comes first)."""
+    return brace.circ.table, brace.dot.table
 
 
 # --- group table enumeration (production route) -----------------------------
@@ -228,7 +230,7 @@ def _cyclic_extensions(
     group = GroupTable(m, rows)
     conj = [tuple(rows[rows[z][y]][group.inv[z]] for y in range(m)) for z in range(m)]
     for alpha in _automorphism_images(group):
-        inverse = sorted(range(m), key=alpha.__getitem__)
+        inverse = _inverse(alpha)
         back = [tuple(range(m))]  # alpha^-j for j = 0..p
         for _ in range(p):
             back.append(_compose(inverse, back[-1]))
@@ -272,25 +274,21 @@ def _group_classes(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _group_reps(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _group_reps(order: int) -> tuple[GroupTable, ...]:
     """The lexicographically smallest table of each group class of the
-    order, sorted: _lex_min_table of each table of _group_classes. Only the
-    requested order is made canonical; the orders it is built from are not."""
-    return tuple(sorted(map(_lex_min_table, _group_classes(order))))
-
-
-@lru_cache(maxsize=None)
-def _rep_groups(order: int) -> tuple[GroupTable, ...]:
-    """The tables of _group_reps, each validated once as a GroupTable and
-    shared by enumerate_groups and canonical_brace."""
-    return tuple(GroupTable(order, rows) for rows in _group_reps(order))
+    order, sorted, each validated once as a GroupTable and shared by
+    enumerate_groups and canonical_brace: _lex_min_table of each table of
+    _group_classes. Only the requested order is made canonical; the orders
+    it is built from are not."""
+    minima = sorted(map(_lex_min_table, _group_classes(order)))
+    return tuple(GroupTable(order, rows) for rows in minima)
 
 
 def enumerate_groups(order: int) -> list[GroupTable]:
     """All groups of the given order up to isomorphism, one canonical table
     (lexicographically smallest relabeling fixing 0) per class, sorted."""
     _check_order(order, MAX_ORDER)
-    return list(_rep_groups(order))
+    return list(_group_reps(order))
 
 
 def group_isomorphic(g1: GroupTable, g2: GroupTable) -> bool:
@@ -477,7 +475,7 @@ def _byte_relabeling(p: Sequence[int]) -> tuple[Callable[[bytes], tuple], bytes]
     value v becomes p[v]: one gather and one bytes.translate, both in C.
     """
     n = len(p)
-    q = sorted(range(n), key=p.__getitem__)
+    q = _inverse(p)
     starts = [a * n for a in q]
     return _gather([start + b for start in starts for b in q]), bytes(p).ljust(256, b"\0")
 
@@ -503,7 +501,7 @@ def canonical_brace(brace: SkewBrace) -> SkewBrace:
     _check_order(n, MAX_ORDER)
     circ = brace.circ.table
     rep, phi = next(
-        (rep, phi) for rep in _rep_groups(n) for phi in _table_isomorphisms(circ, rep.table)
+        (rep, phi) for rep in _group_reps(n) for phi in _table_isomorphisms(circ, rep.table)
     )
     gather, p_table = _byte_relabeling(phi)
     dot = bytes(gather(bytes(chain.from_iterable(brace.dot.table)))).translate(p_table)

@@ -47,7 +47,6 @@ from .groups import (
     _Record,
     _row_form,
     _Triples,
-    _witnesses,
 )
 
 
@@ -137,7 +136,7 @@ def ybe_violations(rmap: YbeMap) -> Iterator[tuple[int, _Triples, _Triples]]:
 def check_ybe(rmap: YbeMap) -> CheckResult:
     """Exhaustively evaluate both sides over all n^3 triples, a row at a
     time."""
-    return _first(_witnesses(rmap.n, ybe_violations(rmap)))
+    return _first(rmap.n, ybe_violations(rmap))
 
 
 def check_ybe_materialized(rmap: YbeMap) -> CheckResult:
@@ -194,7 +193,7 @@ def check_bijective(rmap: YbeMap) -> bool:
 def check_product_preservation(brace: SkewBrace, rmap: YbeMap) -> CheckResult:
     """Exhaustive check that R(a, b) = (s, t) implies s o t = a o b."""
     _require_compatible_carriers(brace, rmap)
-    return _first(_witnesses(rmap.n, _product_rows(brace.circ, *_components(rmap))))
+    return _first(rmap.n, _product_rows(brace.circ, *_components(rmap)))
 
 
 # --- export/import formats --------------------------------------------------

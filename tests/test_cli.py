@@ -788,6 +788,32 @@ def test_first_witness_output_pinned(command, tmp_path, capsys):
     assert capsys.readouterr().out == FIRST_WITNESS_OUTPUT[command]
 
 
+@pytest.mark.parametrize("command", sorted(ALL_WITNESSES_PINS))
+def test_all_witnesses_masks_each_failing_row_once(command, tmp_path, capsys, monkeypatch):
+    """With --all-witnesses every failing row is masked once, the first
+    included: _report takes the arity from the first row's side length, not
+    from a witness of its own. Both names of _differing are counted."""
+    path = _witness_inputs(tmp_path)[command]
+    if command == "verify":
+        dot, circ = cli._load_brace_tables(path)
+        failing = sum(len(list(sweep(dot, circ))) for _, sweep in braces.IDENTITY_SUITE)
+    else:
+        failing = len(list(ybe.ybe_violations(cli._load_rmap(path))))
+    differing, calls = groups._differing, []
+
+    def counting(lhs, rhs):
+        calls.append(None)
+        return differing(lhs, rhs)
+
+    monkeypatch.setattr(cli, "_differing", counting)
+    monkeypatch.setattr(groups, "_differing", counting)
+    assert main([command, path, "--all-witnesses"]) == 1
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) == ALL_WITNESSES_PINS[command]
+    assert failing > 0
+    assert len(calls) == failing
+
+
 @pytest.mark.parametrize("form", ["bytes", "tuples"])
 def test_ybe_rows_of_the_pinned_input_carry_both_sides(form, tmp_path, monkeypatch):
     """check-ybe's pinned order-16 input yields, in either row form, the

@@ -383,6 +383,7 @@ def test_tuple_rows_match_per_definition_references(groups_by_order, catalogs, d
     byte_rows = {sweep: list(sweep(dot, circ)) for sweep in PAIR_SWEEPS}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(braces, "_row_form", _tuple_form)
+        mp.setattr(groups, "_row_form", _tuple_form)
         for sweep in PAIR_SWEEPS:
             rows = list(sweep(dot, circ))
             assert all(type(lhs) is type(rhs) is tuple for _, lhs, rhs in rows)

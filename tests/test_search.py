@@ -207,7 +207,7 @@ def test_aut_computed_once_per_dot_group(monkeypatch):
     deduplicate_catalog(sb.enumerate_braces(8))
     # Order 8 is built from the classes of order 4; only its own groups
     # are dot groups.
-    assert tuple(sorted(t for t in dots if len(t) == 8)) == _group_reps(8)
+    assert tuple(sorted(t for t in dots if len(t) == 8)) == tuple(g.table for g in _group_reps(8))
 
 
 def test_dedup_above_max_order_fails_before_any_search(monkeypatch):
@@ -337,11 +337,11 @@ def test_seeded_group_reps_match_all_tables(n):
     """The cyclic-extension route gives the class minima of the labelled
     route: of all labelled tables up to order 8, and of the tables with the
     forced row 1 up to order 10."""
-    assert _group_reps(n) == tuple(_class_representatives(_all_tables(n, forced_row1=True)))
+    assert tuple(g.table for g in _group_reps(n)) == tuple(_class_representatives(_all_tables(n, forced_row1=True)))
     if n <= 8:
-        assert _group_reps(n) == tuple(_class_representatives(_all_tables(n)))
+        assert tuple(g.table for g in _group_reps(n)) == tuple(_class_representatives(_all_tables(n)))
     if n > 1:
-        assert all(rows[1] == _forced_row1(n) for rows in _group_reps(n))
+        assert all(rows[1] == _forced_row1(n) for rows in (g.table for g in _group_reps(n)))
 
 
 #: sha256 of the JSON of [_group_reps(n) for n in 1..12]. The class minima
@@ -351,7 +351,7 @@ GROUP_REPS_SHA256 = "1726b4b89d971c589ff1771a6a4e4a8b1f2f0f6e0f9fc29a4dfc48ddb22
 
 
 def test_group_reps_pinned():
-    reps = json.dumps([_group_reps(n) for n in range(1, 13)], separators=(",", ":"))
+    reps = json.dumps([[g.table for g in _group_reps(n)] for n in range(1, 13)], separators=(",", ":"))
     assert hashlib.sha256(reps.encode()).hexdigest() == GROUP_REPS_SHA256
 
 
@@ -364,7 +364,7 @@ GROUP_REPS_ABOVE_12_SHA256 = "4a18fd4288d08ffd4ad6504efd0a7ecd74e352074292de8920
 
 
 def test_group_reps_above_order_12_pinned():
-    reps = json.dumps([_group_reps(n) for n in GROUP_REPS_ABOVE_12], separators=(",", ":"))
+    reps = json.dumps([[g.table for g in _group_reps(n)] for n in GROUP_REPS_ABOVE_12], separators=(",", ":"))
     assert hashlib.sha256(reps.encode()).hexdigest() == GROUP_REPS_ABOVE_12_SHA256
 
 
@@ -450,7 +450,26 @@ def test_class_representatives_match_brute_force_minima(n):
         }
     )
     assert minima == _class_representatives(tables)
-    assert tuple(minima) == _group_reps(n)
+    assert tuple(minima) == tuple(g.table for g in _group_reps(n))
+
+
+def _flat_sort_key(brace):
+    """The catalog order's reference: the circ-then-dot tables concatenated
+    into one flat tuple of 2n^2 ints."""
+    return tuple(v for row in brace.circ.table for v in row) + tuple(
+        v for row in brace.dot.table for v in row
+    )
+
+
+def test_sort_key_orders_mixed_orders_as_the_flat_key(raw_catalogs, raw_catalog_8):
+    """brace_sort_key, the pair of tables, sorts a shuffled pool of the raw
+    catalogs of orders 1-8 exactly as the flat key: within an order as the
+    concatenated tables, and a smaller order before a larger."""
+    catalogs = [*(raw_catalogs[n] for n in range(1, 7)), sb.enumerate_braces(7), raw_catalog_8]
+    pool = [brace for catalog in catalogs for brace in catalog.braces]
+    random.Random(2205).shuffle(pool)
+    assert sorted(pool, key=brace_sort_key) == sorted(pool, key=_flat_sort_key)
+    assert sorted(pool, key=brace_sort_key) == [b for c in catalogs for b in c.braces]
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])

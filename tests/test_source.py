@@ -87,7 +87,6 @@ _ORACLE_AVOIDS = {
     "_closure_tables",
     "_latin_rows",
     "_group_reps",
-    "_rep_groups",
     "_group_classes",
     "_cyclic_extensions",
 }
@@ -110,7 +109,6 @@ TWINS = {
         "_byte_relabeling",
         "_aut_relabelings",
         "_group_reps",
-        "_rep_groups",
         "_table_isomorphisms",
         "_compose",
     },
@@ -266,12 +264,71 @@ def _functions(module, name_filter):
 
 
 def test_braces_sweeps_have_no_cell_loop():
-    """No sweep in braces.py nests a loop or a comprehension inside its loop
+    """No sweep in braces.py, and neither row shape (braces._twisted_rows,
+    groups._action_rows), nests a loop or a comprehension inside its loop
     over the rows: each row's cells are compared whole, so the row path is
     the only path."""
-    sweeps = _functions("braces.py", lambda name: name.endswith("_violations"))
-    assert len(sweeps) == len(braces.IDENTITY_SUITE)
+    sweeps = _functions(
+        "braces.py", lambda name: name.endswith("_violations") or name == "_twisted_rows"
+    )
+    sweeps += _functions("groups.py", lambda name: name == "_action_rows")
+    assert len(sweeps) == len(braces.IDENTITY_SUITE) + 2
     assert [nested for sweep in sweeps for nested in _nested_loops(sweep)] == []
+
+
+#: The laws of the two row shapes, by module: each sweep hands its tables to
+#: its shape, which alone loops over the rows.
+ROW_SHAPE_LAWS = {
+    "groups.py": {"_associativity_witness": "_action_rows"},
+    "braces.py": {
+        "sigma_homomorphism_violations": "_action_rows",
+        "compatibility_violations": "_twisted_rows",
+        "sigma_automorphism_violations": "_twisted_rows",
+        "sigma_twisted_product_violations": "_twisted_rows",
+    },
+}
+
+
+def test_row_shape_laws_have_no_row_loop_of_their_own():
+    """Associativity and the four brace laws of the two row shapes call
+    their shape and hold no for or while loop of their own."""
+    for module, laws in ROW_SHAPE_LAWS.items():
+        functions = _functions(module, laws.__contains__)
+        assert sorted(f.name for f in functions) == sorted(laws)
+        for function in functions:
+            nodes = list(ast.walk(function))
+            assert not any(isinstance(node, (ast.For, ast.While)) for node in nodes), function.name
+            called = {
+                node.func.id
+                for node in nodes
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            }
+            assert laws[function.name] in called, function.name
+
+
+def test_every_private_definition_is_named_elsewhere():
+    """Every top-level _-prefixed function or class of the package is named
+    by an identifier somewhere in the package outside its own definition,
+    so a deletion leaves no unused helper behind."""
+    trees = [ast.parse(path.read_text()) for path in [*MODULES, PACKAGE / "__init__.py"]]
+    unused = []
+    for tree in trees:
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not top.name.startswith("_") or top.name.startswith("__"):
+                continue
+            inside = {id(node) for node in ast.walk(top)}
+            named = any(
+                isinstance(node, ast.Name) and node.id == top.name
+                or isinstance(node, ast.Attribute) and node.attr == top.name
+                for other in trees
+                for node in ast.walk(other)
+                if id(node) not in inside
+            )
+            if not named:
+                unused.append(top.name)
+    assert unused == []
 
 
 def test_ybe_sweep_has_no_cell_loop():
