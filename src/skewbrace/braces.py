@@ -19,19 +19,20 @@ lexicographically first failing tuple, with components ordered as the
 identity's variables read. The sweeps that involve sigma or tau read them
 from R's two output tables S[x][y] = sigma_x(y) and U[x][y] = tau_y(x), built
 row by row (row x of U from row x of S) in O(n^2) time and memory once per
-(dot, circ) pair: _sigma_tau_tables keeps the last pair's tables and serves
-them again while both tables are the very objects (``is``) of that call, so
-the five sweeps of one verify and ybe.build_r share a single build.
-sigma_perm and tau_perm build their one permutation alone in O(n).
+(dot, circ) pair: _sigma_tau_tables is an lru_cache of one entry keyed by the
+pair's value, so the five sweeps of one verify and ybe.build_r on an equal
+pair share a single build. sigma_perm and tau_perm build their one
+permutation alone in O(n).
 
 The unit of every sweep is the failing row. For each x, both sides over all
 cells of x, (y, z) row-major for the five n^3 identities and b for the two
 n^2 ones, are built whole by row gathers in C, as byte strings on carriers
 of at most 256 elements and as tuples above (groups._row_form), and the
-sweep yields (x, lhs, rhs) whenever they differ. Five of the paper's laws
-have one of two row shapes: x -> act[x] a homomorphism (groups._action_rows:
-associativity and the sigma homomorphism) or a homomorphism twisted on its
-right-hand side (_twisted_rows: compatibility, sigma automorphism and the
+sweep yields (x, lhs, rhs) whenever they differ. Six of the paper's laws
+have one of two row shapes: x -> act[x] carrying one product to another
+(groups._action_rows: associativity, the sigma homomorphism of Proposition 1
+and the tau anti-homomorphism of Proposition 2) or a homomorphism twisted on
+its right-hand side (_twisted_rows: compatibility, sigma automorphism and the
 twisted product). No cell is visited in Python: groups._differing masks a
 failing row's differing cells (one XOR of the two sides read as integers
 when they are byte strings), and from that mask groups._witnesses turns the
@@ -42,6 +43,7 @@ way.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import groupby
 from operator import getitem
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -184,9 +186,7 @@ def trivial_brace(group: GroupTable) -> SkewBrace:
 
 def opposite_brace(group: GroupTable) -> SkewBrace:
     """The brace with x o y = y . x (the transposed table as circ)."""
-    n = group.n
-    transposed = tuple(tuple(group.table[b][a] for b in range(n)) for a in range(n))
-    return SkewBrace(group, GroupTable(n, transposed))
+    return SkewBrace(group, GroupTable(group.n, tuple(zip(*group.table))))
 
 
 def sigma(brace: SkewBrace, x: int, y: int) -> int:
@@ -206,23 +206,15 @@ def tau(brace: SkewBrace, y: int, x: int) -> int:
     return c[c[circ.inv[sigma(brace, x, y)]][x]][y]
 
 
-#: The last (dot, circ, (S, U)) that _sigma_tau_tables built, or None.
-_last_sigma_tau: tuple[GroupTable, GroupTable, tuple[_Table, _Table]] | None = None
-
-
+@lru_cache(maxsize=1)
 def _sigma_tau_tables(dot: GroupTable, circ: GroupTable) -> tuple[_Table, _Table]:
     """R's output tables S[x][y] = sigma_x(y) and U[x][y] = tau_y(x) of a pair.
 
-    The last result is kept and served again while both arguments are the
-    very objects of that call: the entry holds them, so their ids are not
-    reused, and a GroupTable is immutable, so the tables stay valid. S and U
-    are tuples of tuples, so no caller can change the shared result.
+    The last result is kept and served again to an equal pair: a GroupTable
+    is immutable and hashes by value, and S and U are tuples of tuples, so
+    no caller can change the shared result.
     """
-    global _last_sigma_tau
-    last = _last_sigma_tau
-    if last is None or last[0] is not dot or last[1] is not circ:
-        last = _last_sigma_tau = (dot, circ, _build_sigma_tau(dot, circ))
-    return last[2]
+    return _build_sigma_tau(dot, circ)
 
 
 def _build_sigma_tau(dot: GroupTable, circ: GroupTable) -> tuple[_Table, _Table]:
@@ -292,7 +284,7 @@ def sigma_homomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator
     some (y, z)."""
     _require_compatible_carriers(dot, circ)
     S, _ = _sigma_tau_tables(dot, circ)
-    yield from _action_rows(S, circ.table)
+    yield from _action_rows(S, circ.table, S)
 
 
 def tau_antihomomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:
@@ -300,17 +292,9 @@ def tau_antihomomorphism_violations(dot: GroupTable, circ: GroupTable) -> Iterat
     (y, z)."""
     _require_compatible_carriers(dot, circ)
     _, U = _sigma_tau_tables(dot, circ)
-    _, table, apply, join = _row_form(dot.n)
-    flat = table(circ.table)[0]
-    # Row u of U is z -> tau_z(u).
-    _, lines, maps = table(U)
-    for x in range(dot.n):
-        # Row y of the sides: w -> tau_w(x) after row y of circ, and row
-        # tau_y(x) of U.
-        lhs = apply(flat, maps[x])
-        rhs = join(_compose(lines, lines[x]))
-        if lhs != rhs:
-            yield x, lhs, rhs
+    # The shape's sides are tau_z(tau_y(x)) = U[U[x][y]][z] and
+    # tau_{y o z}(x) = U[x][circ[y][z]]; the law reads them the other way.
+    yield from ((x, lhs, rhs) for x, rhs, lhs in _action_rows(U, U, circ.table))
 
 
 def sigma_twisted_product_violations(dot: GroupTable, circ: GroupTable) -> Iterator[Row]:

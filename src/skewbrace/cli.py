@@ -197,12 +197,8 @@ def cmd_check_ybe(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    if args.oracle:
-        raw = oracle_enumerate(args.order, up_to_iso=False)
-        iso = deduplicate_catalog(raw, pairwise=True)
-    else:
-        raw = enumerate_braces(args.order, up_to_iso=False)
-        iso = deduplicate_catalog(raw)
+    raw = (oracle_enumerate if args.oracle else enumerate_braces)(args.order)
+    iso = deduplicate_catalog(raw, pairwise=args.oracle)
     chosen = iso if args.up_to_iso else raw
     text = catalog_to_json(
         chosen, count_raw=len(raw.braces), count_up_to_iso=len(iso.braces)

@@ -10,10 +10,11 @@ Conventions used throughout the package:
   afterwards, so instances may be shared freely across threads/processes.
 
 Exhaustive checks run a row at a time. ``_action_rows`` sweeps the law
-act[op[x][y]][z] = act[x][act[y][z]], which is associativity when act = op
-and Proposition 1 of :mod:`skewbrace.braces` when act = S and op = circ: for
-each x it builds both sides over all (y, z) as two sequences by gathers in C
-and compares them whole, as the identity sweeps of braces do. ``_row_form``
+act[op[x][y]][z] = act[x][inner[y][z]], which is associativity when the
+three tables are one, and Propositions 1 and 2 of :mod:`skewbrace.braces` on
+(S, circ, S) and (U, U, circ): for each x it builds both sides over all
+(y, z) as two sequences by gathers in C and compares them whole, as the
+identity sweeps of braces do. ``_row_form``
 picks the sequences: on a carrier of at most 256 elements every entry fits a
 byte, so ``_byte_table`` encodes a table as one ``bytes`` string plus
 256-byte translation rows, and ``bytes.translate`` composes a permutation
@@ -383,13 +384,17 @@ def _witnesses(
     )
 
 
-def _action_rows(act: tuple[tuple[int, ...], ...], op: Sequence[Sequence[int]]) -> Iterator[tuple]:
-    """Yield every row (x, lhs, rhs) where act[op[x][y]][z] != act[x][act[y][z]]
-    for some (y, z): x -> act[x] is a homomorphism, as associativity (act =
-    op) and Proposition 1 (act = S, op = circ) say. Row y of the sides is
-    row op[x][y] of act, and row x of act after row y."""
-    _, table, apply, join = _row_form(len(act))
-    flat, lines, maps = table(act)
+def _action_rows(
+    act: tuple[tuple[int, ...], ...], op: Sequence[Sequence[int]], inner: Sequence[Sequence[int]]
+) -> Iterator[tuple]:
+    """Yield every row (x, lhs, rhs) where act[op[x][y]][z] != act[x][inner[y][z]]
+    for some (y, z): x -> act[x] carries one product to another, as
+    associativity (T, T, T), Proposition 1 (S, circ, S) and Proposition 2
+    (U, U, circ) say. Row y of the sides is row op[x][y] of act, and row x
+    of act after row y of inner."""
+    line, table, apply, join = _row_form(len(act))
+    _, lines, maps = table(act)
+    flat = join(map(line, inner))
     for x, row in enumerate(op):
         lhs = join(_compose(lines, row))
         rhs = apply(flat, maps[x])
@@ -399,7 +404,7 @@ def _action_rows(act: tuple[tuple[int, ...], ...], op: Sequence[Sequence[int]]) 
 
 def _associativity_witness(rows: tuple[tuple[int, ...], ...]) -> tuple[int, int, int] | None:
     """The lexicographically first (a, b, c) with (ab)c != a(bc), or None."""
-    return next(_witnesses(len(rows), _action_rows(rows, rows)), None)
+    return next(_witnesses(len(rows), _action_rows(rows, rows, rows)), None)
 
 
 def cyclic_group(n: int) -> GroupTable:

@@ -111,6 +111,21 @@ def test_maps_out_of_range_exits_2(xor_file):
     assert main(["maps", xor_file, "--element", "7"]) == 2
 
 
+def _count_sigma_tau_builds(monkeypatch):
+    """Empty the sigma/tau cache, so that an equal pair left by an earlier
+    call is no hit, and return the list of pairs that are then built."""
+    braces._sigma_tau_tables.cache_clear()
+    builds = []
+    build = braces._build_sigma_tau
+
+    def counted(dot, circ):
+        builds.append((dot, circ))
+        return build(dot, circ)
+
+    monkeypatch.setattr(braces, "_build_sigma_tau", counted)
+    return builds
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -134,14 +149,7 @@ def test_one_sigma_tau_build_per_command(argv, tmp_path, monkeypatch, capsys):
     brace.write_text(XOR_BRACE_JSON)
     pair = tmp_path / "pair.json"
     pair.write_text(BAD_PAIR_JSON)
-    builds = []
-    build = braces._build_sigma_tau
-
-    def counted(dot, circ):
-        builds.append((dot, circ))
-        return build(dot, circ)
-
-    monkeypatch.setattr(braces, "_build_sigma_tau", counted)
+    builds = _count_sigma_tau_builds(monkeypatch)
     code = main([arg.format(brace=brace, pair=pair) for arg in argv])
     assert code == (1 if "{pair}" in argv else 0)
     if argv[0] != "maps":
@@ -159,6 +167,18 @@ def test_one_sigma_tau_build_per_command(argv, tmp_path, monkeypatch, capsys):
         assert json.loads(out) == {"n": 4, "maps": [{"element": x, "sigma": sigma, "tau": tau}]}
     else:
         assert out == f"sigma[{x}] = {' '.join(map(str, sigma))}\ntau[{x}] = {' '.join(map(str, tau))}\n"
+
+
+def test_one_sigma_tau_build_across_commands_on_one_file(tmp_path, monkeypatch):
+    """verify, check-ybe and r-map on one brace file in one process build
+    the sigma/tau tables once: each command parses its own equal pair, and
+    the cache is keyed by value."""
+    brace = tmp_path / "brace.json"
+    brace.write_text(XOR_BRACE_JSON)
+    builds = _count_sigma_tau_builds(monkeypatch)
+    for command in ("verify", "check-ybe", "r-map"):
+        assert main([command, str(brace)]) == 0
+    assert len(builds) == 1
 
 
 def test_maps_json_format(xor_file, capsys):
@@ -258,12 +278,20 @@ def test_enumerate_order3_up_to_iso(tmp_path):
     assert payload["up_to_iso"] is True
 
 
-def test_enumerate_oracle_matches_search(tmp_path):
-    a = tmp_path / "search.json"
-    b = tmp_path / "oracle.json"
-    assert main(["enumerate", "--order", "4", "--output", str(a)]) == 0
-    assert main(["enumerate", "--order", "4", "--oracle", "--output", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("up_to_iso", [[], ["--up-to-iso"]], ids=["raw", "iso"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_enumerate_oracle_matches_search(tmp_path, capsys, order, up_to_iso):
+    """Both routes write the same catalog bytes and the same order=, raw=
+    and iso= fields on stderr."""
+    outputs = []
+    for route in ([], ["--oracle"]):
+        path = tmp_path / f"catalog{len(outputs)}.json"
+        argv = ["enumerate", "--order", str(order), *up_to_iso, *route, "--output", str(path)]
+        assert main(argv) == 0
+        summary = capsys.readouterr().err.split(" elapsed=")[0]
+        outputs.append((path.read_bytes(), summary))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].startswith(f"order={order} raw=")
 
 
 def test_enumerate_byte_identical_across_runs(tmp_path):

@@ -325,12 +325,12 @@ def test_mixed_pairs_pass_at_some_x_and_fail_at_others(raw_catalog_8):
 
 
 def test_interleaved_sweeps_read_their_own_pairs_tables(raw_catalog_8):
-    """The sigma/tau tables of the last pair are served again only to the
-    very objects of that call. Sweeps advanced in turn on a brace and on a
-    pair that is not a brace, whose dot is an equal but distinct copy of
-    the brace's dot, each yield their reference's
-    witnesses; so do sigma_perm, tau_perm and build_r called in turn on the
-    brace and on another brace with the copied dot."""
+    """The sigma/tau tables of the last pair are served again only to an
+    equal pair. Sweeps advanced in turn on a brace and on a pair that is
+    not a brace, whose dot is an equal but distinct copy of the brace's
+    dot, each yield their reference's witnesses; so do sigma_perm, tau_perm
+    and build_r called in turn on the brace and on another brace with the
+    copied dot."""
     braces_8 = raw_catalog_8.braces
     rng = random.Random(19)
     for _ in range(6):

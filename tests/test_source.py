@@ -277,11 +277,13 @@ def test_braces_sweeps_have_no_cell_loop():
 
 
 #: The laws of the two row shapes, by module: each sweep hands its tables to
-#: its shape, which alone loops over the rows.
+#: its shape, which alone loops over the rows. _action_rows checks
+#: associativity and Propositions 1 and 2, _twisted_rows the other three.
 ROW_SHAPE_LAWS = {
     "groups.py": {"_associativity_witness": "_action_rows"},
     "braces.py": {
         "sigma_homomorphism_violations": "_action_rows",
+        "tau_antihomomorphism_violations": "_action_rows",
         "compatibility_violations": "_twisted_rows",
         "sigma_automorphism_violations": "_twisted_rows",
         "sigma_twisted_product_violations": "_twisted_rows",
@@ -290,8 +292,9 @@ ROW_SHAPE_LAWS = {
 
 
 def test_row_shape_laws_have_no_row_loop_of_their_own():
-    """Associativity and the four brace laws of the two row shapes call
-    their shape and hold no for or while loop of their own."""
+    """Associativity, Propositions 1 and 2 and the three brace laws of the
+    twisted shape call their shape and hold no for or while loop of their
+    own."""
     for module, laws in ROW_SHAPE_LAWS.items():
         functions = _functions(module, laws.__contains__)
         assert sorted(f.name for f in functions) == sorted(laws)
@@ -304,6 +307,19 @@ def test_row_shape_laws_have_no_row_loop_of_their_own():
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             }
             assert laws[function.name] in called, function.name
+
+
+def test_package_keeps_no_global_state():
+    """No package module rebinds a module-level name from inside a
+    function: what the package keeps between calls lives in functools
+    caches."""
+    found = [
+        (path.name, node.lineno)
+        for path in [*MODULES, PACKAGE / "__init__.py"]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Global)
+    ]
+    assert found == []
 
 
 def test_every_private_definition_is_named_elsewhere():
