@@ -36,11 +36,13 @@ from .groups import (
     _decimal,
     _decode_json,
     _differing,
+    _indented_array,
     _is_decimal,
     _quote,
     _witnesses,
 )
 from .search import (
+    _brace_counts,
     catalog_to_json,
     deduplicate_catalog,
     enumerate_braces,
@@ -101,18 +103,27 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text)
 
 
+@functools.lru_cache(maxsize=2)
+def _line_tails(n: int, arity: int) -> tuple[list[str], list[str]]:
+    """The numerals 0..n-1 and the witness line tails of a row in `arity`
+    variables: "y, z)\n" for each cell of a row in three variables, "b)\n"
+    for each cell of one in two. Built once per (n, arity) and shared by
+    every identity _print_rows reports on that carrier, so callers must not
+    modify them."""
+    s = [str(v) for v in range(n)]
+    tails = [f"{y}, {z})\n" for y in s for z in s] if arity == 3 else [f"{b})\n" for b in s]
+    return s, tails
+
+
 def _print_rows(name: str, n: int, arity: int, rows: Iterable[Row]) -> None:
     """Print "<name>: FAIL witness=(x, ...)" for every failing cell of every
     row (x, lhs, rhs) of an identity in `arity` variables, one write per row.
     A cell may be one value or, in a Yang-Baxter row, a triple.
 
-    The line tails, "y, z)\n" for each cell of a row in three variables or
-    "b)\n" for each cell of one in two, are built once. compress picks the
-    tails of the cells that groups._differing marks as failing, and the
-    row's head, put before each, joins them into one string: a write holds
-    at most n^2 lines."""
-    s = [str(v) for v in range(n)]
-    tails = [f"{y}, {z})\n" for y in s for z in s] if arity == 3 else [f"{b})\n" for b in s]
+    compress picks the line tails (_line_tails) of the cells that
+    groups._differing marks as failing, and the row's head, put before each,
+    joins them into one string: a write holds at most n^2 lines."""
+    s, tails = _line_tails(n, arity)
     write = sys.stdout.write
     for x, lhs, rhs in rows:
         head = f"{name}: FAIL witness=({s[x]}, "
@@ -147,16 +158,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _maps_json(n: int, maps: list[tuple[int, tuple[int, ...], tuple[int, ...]]]) -> str:
     """json.dumps({"n": n, "maps": [{"element": x, "sigma": [...], "tau": [...]},
-    ...]}, indent=1), written out directly: with an indent, json runs its
-    pure-Python encoder, several times slower. Every list is non-empty."""
+    ...]}, indent=1), written out directly (groups._indented_array)."""
     s = [str(v) for v in range(n)]
-    sep = ",\n    "
     entries = [
-        f'  {{\n   "element": {x},\n   "sigma": [\n    {sep.join([s[v] for v in sigma])}\n   ],'
-        f'\n   "tau": [\n    {sep.join([s[v] for v in tau])}\n   ]\n  }}'
+        f'{{\n   "element": {x},\n   "sigma": {_indented_array([s[v] for v in sigma], 3)},'
+        f'\n   "tau": {_indented_array([s[v] for v in tau], 3)}\n  }}'
         for x, sigma, tau in maps
     ]
-    return f'{{\n "n": {n},\n "maps": [\n' + ",\n".join(entries) + "\n ]\n}"
+    return f'{{\n "n": {n},\n "maps": {_indented_array(entries, 1)}\n}}'
 
 
 def cmd_maps(args: argparse.Namespace) -> int:
@@ -197,17 +206,19 @@ def cmd_check_ybe(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    raw = (oracle_enumerate if args.oracle else enumerate_braces)(args.order)
-    iso = deduplicate_catalog(raw, pairwise=args.oracle)
-    chosen = iso if args.up_to_iso else raw
-    text = catalog_to_json(
-        chosen, count_raw=len(raw.braces), count_up_to_iso=len(iso.braces)
-    )
+    if args.oracle:
+        raw = oracle_enumerate(args.order)
+        iso = deduplicate_catalog(raw, pairwise=True)
+        chosen = iso if args.up_to_iso else raw
+        count_raw, count_iso = len(raw.braces), len(iso.braces)
+    else:
+        chosen = enumerate_braces(args.order, up_to_iso=args.up_to_iso)
+        count_raw, count_iso = _brace_counts(args.order)
+    text = catalog_to_json(chosen, count_raw=count_raw, count_up_to_iso=count_iso)
     _emit(text + "\n", args.output)
     elapsed = time.perf_counter() - started
     print(
-        f"order={args.order} raw={len(raw.braces)} iso={len(iso.braces)} "
-        f"elapsed={elapsed:.2f}s",
+        f"order={args.order} raw={count_raw} iso={count_iso} elapsed={elapsed:.2f}s",
         file=sys.stderr,
     )
     return 0

@@ -728,3 +728,20 @@ def parse_group_json(text: str) -> GroupTable:
 
 def group_to_json(group: GroupTable) -> str:
     return json.dumps({"n": group.n, "table": [list(row) for row in group.table]})
+
+
+#: The line breaks of json.dumps(..., indent=1) at nesting depths 0..7.
+_JSON_BREAKS = tuple("\n" + " " * depth for depth in range(8))
+
+
+def _indented_array(items: Sequence[str], depth: int) -> str:
+    """json.dumps(array, indent=1) for an array nested `depth` (< 7) levels
+    deep, given its items already encoded: each on a line of its own,
+    indented depth + 1 spaces, and "]" on a line indented depth spaces ("[]"
+    when empty). An item of several lines carries the indentation of its
+    later lines itself. With an indent json runs its pure-Python encoder,
+    several times slower than these joins."""
+    if not items:
+        return "[]"
+    inner = _JSON_BREAKS[depth + 1]
+    return f"[{inner}{(',' + inner).join(items)}{_JSON_BREAKS[depth]}]"

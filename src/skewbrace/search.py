@@ -14,6 +14,18 @@ run the same search with row a drawn from the Latin permutations sending 0
 to a, which gives every labelled group table, as the oracle of the group
 classes.
 
+The brace search finds Aut(dot)-orbits of circ tables, not every table
+(_brace_orbits): isomorphic braces on one dot table are exactly the circ
+tables of one orbit. Relabeling by psi in Aut(dot) with psi(1) = 1
+conjugates row 1 by psi, so row 1 is drawn from one member of each class of
+L_1 Aut(dot) under that conjugation (_row1_candidates), and every orbit is
+still met. A table outside every known orbit is validated as a SkewBrace and
+puts its whole orbit into a set, so later members of the orbit are skipped.
+One pass per dot group serves all three products: the catalog up to
+isomorphism is the canonical forms of the orbits' first tables, the raw
+count is the sum of the orbit sizes, and only the raw catalog builds and
+validates every member.
+
 The oracle route is deliberately naive: generate every Latin square with
 identity row/column by cell-level backtracking, keep the associative ones,
 and filter pairs of tables by the compatibility sweep. It is feasible only
@@ -40,15 +52,15 @@ automorphism of rep. The dot table is relabeled once by that isomorphism and
 the form is the least of its images under Aut(rep). The tests check both
 searches against a brute force over all (n-1)! relabelings.
 
-Before canonical forms are taken, the default dedup enumerates the Aut(dot)
-orbits of circ tables on each dot table: the first brace of an orbit in
-catalog order is its representative and puts every Aut(dot) image of its circ
-table into a set, so later members of the orbit cost one lookup. A table is
-relabeled as one byte string, by one gather of its cells and one
-bytes.translate of their values; the dedup and the canonical forms share
-these relabelings, built once per group (_aut_relabelings). Aut(dot) is
-computed once for the brace search, the dedup and the canonical forms of a
-catalog (_automorphism_images).
+The default dedup of a given raw catalog walks the same orbits: the first
+brace of an orbit in catalog order is its representative and puts every
+Aut(dot) image of its circ table into a set (_aut_orbit, shared with the
+search), so later members of the orbit cost one lookup. A table is relabeled
+as one byte string, by one gather of its cells and one bytes.translate of
+their values; the search, the dedup and the canonical forms share these
+relabelings, built once per group (_aut_relabelings). Aut(dot) is computed
+once for the brace search, the dedup and the canonical forms of a catalog
+(_automorphism_images).
 """
 
 from __future__ import annotations
@@ -59,7 +71,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .braces import SkewBrace, _require_compatible_carriers, brace_to_json_dict, check_compatibility
+from .braces import SkewBrace, _require_compatible_carriers, check_compatibility
 from .groups import (
     GroupTable,
     _associativity_witness,
@@ -67,6 +79,7 @@ from .groups import (
     _cut_int,
     _element_orders,
     _gather,
+    _indented_array,
     _inverse,
     _Record,
     _table_isomorphisms,
@@ -205,14 +218,15 @@ def _class_representatives(
 
 @lru_cache(maxsize=8)
 def _automorphism_images(group: GroupTable) -> tuple[tuple[int, ...], ...]:
-    # Shared by the brace search and, through _aut_relabelings, the dedup
-    # and the canonical forms of a catalog. It also holds the groups N of
-    # _cyclic_extensions, but on a cold cache the (at most 5) dot groups go in
-    # last, so 8 slots keep them for the dedup: a cold
-    # enumerate_braces(8, up_to_iso=True) has 9 misses and 5 hits, order 12
-    # has 12 misses and 7 hits. The canonical forms ask for Aut(rep) of a
-    # dot group the dedup has already relabeled by: at orders 8 and 12,
-    # _aut_relabelings has 5 misses (5 of the hits here), then 47 and 38 hits.
+    # Shared by the brace search (its cosets and _row1_candidates) and,
+    # through _aut_relabelings, its orbits, the dedup and the canonical forms
+    # of a catalog. It also holds the groups N of _cyclic_extensions, but on
+    # a cold cache the (at most 5) dot groups go in last, each asked for three
+    # times in a row by _brace_orbits: a cold enumerate_braces(8,
+    # up_to_iso=True) has 9 misses and 10 hits, order 12 has 12 misses and
+    # 12 hits. The canonical forms ask for Aut(rep) of a dot group the orbits
+    # have already relabeled by: at orders 8 and 12, _aut_relabelings has 5
+    # misses (5 of the hits here), then 47 and 38 hits.
     return tuple(perm.image for perm in automorphisms(group))
 
 
@@ -338,24 +352,71 @@ def _naive_tables(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 # --- brace enumeration on a fixed dot group ----------------------------------
 
 
-def enumerate_braces_on_group(group: GroupTable) -> list[SkewBrace]:
-    """All circ tables making (group, circ) a skew brace, sorted.
+def _row1_candidates(group: GroupTable) -> list[tuple[int, ...]]:
+    """One member of each class of the coset L_1 Aut(group) under
+    conjugation by the stabiliser of 1 in Aut(group), first-met in the
+    order of Aut.
+
+    For psi in Aut(group) with psi(1) = 1, psi L_1 phi psi^-1 = L_1 psi phi
+    psi^-1, so the classes partition the coset; relabeling a circ table by
+    psi keeps dot and conjugates row 1 by psi, so every Aut(group)-orbit of
+    circ tables has a member whose row 1 is one of these.
+    """
+    auts = _automorphism_images(group)
+    stabiliser = [(psi, _inverse(psi)) for psi in auts if psi[1] == 1]
+    translation = group.table[1]
+    kept: list[tuple[int, ...]] = []
+    met: set[tuple[int, ...]] = set()
+    for phi in auts:
+        row = _compose(translation, phi)
+        if row not in met:
+            kept.append(row)
+            met.update(_compose(psi, _compose(row, inverse)) for psi, inverse in stabiliser)
+    return kept
+
+
+@lru_cache(maxsize=16)
+def _brace_orbits(group: GroupTable) -> tuple[tuple[SkewBrace, frozenset[bytes]], ...]:
+    """The Aut(group)-orbits of circ tables making (group, circ) a skew
+    brace, each as its first table found, validated as a SkewBrace, and the
+    set of its members as flat byte strings (_aut_orbit).
 
     The circ left translation of x is lambda_x(y) = x o y = x . sigma_x(y)
     with sigma_x in Aut(group), so row x of a circ table lies in the coset
     L_x Aut(group) of the holomorph, L_x the dot left translation; the circ
     tables are the group tables whose rows lie in these cosets (the regular
     subgroups of the holomorph), found by the closure search on those
-    candidate rows. Every table found is re-validated through the SkewBrace
-    constructor, which independently sweeps the compatibility condition.
+    candidate rows, with row 1 drawn only from _row1_candidates. A table
+    found in a known orbit is skipped.
     """
     n = group.n
     dot = group.table
     auts = _automorphism_images(group)
     cosets = [[_compose(dot[x], s) for s in auts] for x in range(n)]
+    if n > 1:
+        cosets[1] = _row1_candidates(group)
+    relabelings = _aut_relabelings(group)
+    orbits: list[tuple[SkewBrace, frozenset[bytes]]] = []
+    met: set[bytes] = set()
+    for rows in _closure_tables(n, lambda a, cols: cosets[a]):
+        flat = bytes(chain.from_iterable(rows))
+        if flat not in met:
+            orbit = _aut_orbit(flat, relabelings)
+            met |= orbit
+            orbits.append((SkewBrace(group, GroupTable(n, rows)), orbit))
+    return tuple(orbits)
+
+
+def enumerate_braces_on_group(group: GroupTable) -> list[SkewBrace]:
+    """All circ tables making (group, circ) a skew brace, sorted: every
+    member of every orbit of _brace_orbits, each validated through the
+    SkewBrace constructor, which independently sweeps the compatibility
+    condition."""
+    n = group.n
     found = [
-        SkewBrace(group, GroupTable(n, rows))
-        for rows in _closure_tables(n, lambda a, cols: cosets[a])
+        SkewBrace(group, GroupTable(n, _unflatten(flat, n)))
+        for _, orbit in _brace_orbits(group)
+        for flat in orbit
     ]
     found.sort(key=brace_sort_key)
     return found
@@ -487,6 +548,17 @@ def _aut_relabelings(group: GroupTable) -> tuple[tuple[Callable[[bytes], tuple],
     return tuple(map(_byte_relabeling, _automorphism_images(group)[1:]))
 
 
+def _aut_orbit(
+    flat: bytes, relabelings: Sequence[tuple[Callable[[bytes], tuple], bytes]]
+) -> frozenset[bytes]:
+    """The flat table and its images under _aut_relabelings of a group."""
+    return frozenset([flat, *(bytes(g(flat)).translate(table) for g, table in relabelings)])
+
+
+def _unflatten(flat: bytes, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(flat[start : start + n]) for start in range(0, n * n, n))
+
+
 def canonical_brace(brace: SkewBrace) -> SkewBrace:
     """The lexicographically smallest (circ, dot) relabeling fixing 0.
 
@@ -505,9 +577,8 @@ def canonical_brace(brace: SkewBrace) -> SkewBrace:
     )
     gather, p_table = _byte_relabeling(phi)
     dot = bytes(gather(bytes(chain.from_iterable(brace.dot.table)))).translate(p_table)
-    best = min([dot, *(bytes(g(dot)).translate(t) for g, t in _aut_relabelings(rep))])
-    dot_rows = tuple(tuple(best[start : start + n]) for start in range(0, n * n, n))
-    return SkewBrace(GroupTable(n, dot_rows), rep)
+    best = min(_aut_orbit(dot, _aut_relabelings(rep)))
+    return SkewBrace(GroupTable(n, _unflatten(best, n)), rep)
 
 
 def _dedup_by_aut_orbit(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
@@ -529,12 +600,9 @@ def _dedup_by_aut_orbit(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
         in_orbit: set[bytes] = set()
         for brace in members:
             flat = bytes(chain.from_iterable(brace.circ.table))
-            if flat in in_orbit:
-                continue
-            reps.append(brace)
-            in_orbit.add(flat)
-            for gather, p_table in relabelings:
-                in_orbit.add(bytes(gather(flat)).translate(p_table))
+            if flat not in in_orbit:
+                reps.append(brace)
+                in_orbit |= _aut_orbit(flat, relabelings)
     forms: dict[tuple[int, ...], SkewBrace] = {}
     for brace in reps:
         form = canonical_brace(brace)
@@ -575,18 +643,28 @@ def enumerate_braces(order: int, up_to_iso: bool = False) -> BraceCatalog:
     search, as a canonical catalog.
 
     Raw catalogs range over the canonical dot representative of each group
-    class; with up_to_iso, entries are canonical forms, one per brace
-    isomorphism class.
+    class: every member of every Aut(dot)-orbit of _brace_orbits. With
+    up_to_iso, entries are the canonical forms of the orbits' first tables,
+    one per brace isomorphism class (braces on one dot table are isomorphic
+    exactly when their circ tables share an Aut(dot)-orbit), and no raw
+    catalog is built.
     """
     _check_order(order, MAX_ORDER)
-    raw = sorted(
-        (b for g in enumerate_groups(order) for b in enumerate_braces_on_group(g)),
-        key=brace_sort_key,
-    )
-    catalog = BraceCatalog(order, tuple(raw), False)
     if up_to_iso:
-        catalog = deduplicate_catalog(catalog)
-    return catalog
+        braces = [canonical_brace(rep) for g in _group_reps(order) for rep, _ in _brace_orbits(g)]
+    else:
+        braces = [b for g in _group_reps(order) for b in enumerate_braces_on_group(g)]
+    braces.sort(key=brace_sort_key)
+    return BraceCatalog(order, tuple(braces), up_to_iso)
+
+
+def _brace_counts(order: int) -> tuple[int, int]:
+    """The number of braces of the order, raw and up to isomorphism, read off
+    _brace_orbits without building a catalog: the sum of the Aut(dot)-orbit
+    sizes and the number of orbits."""
+    _check_order(order, MAX_ORDER)
+    orbits = [orbit for g in _group_reps(order) for _, orbit in _brace_orbits(g)]
+    return sum(map(len, orbits)), len(orbits)
 
 
 def oracle_enumerate(order: int, up_to_iso: bool = False) -> BraceCatalog:
@@ -617,19 +695,33 @@ def oracle_enumerate(order: int, up_to_iso: bool = False) -> BraceCatalog:
 
 
 def catalog_to_json(catalog: BraceCatalog, count_raw: int, count_up_to_iso: int) -> str:
-    """Serialize a catalog with its metadata header; byte-stable across runs."""
+    """Serialize a catalog with its metadata header; byte-stable across runs.
+
+    The text is json.dumps(meta, indent=1) of the header fields and
+    "braces": [{"n": n, "dot": [...], "circ": [...]}, ...], written out
+    directly (groups._indented_array).
+    """
     from . import __version__
 
-    meta = {
+    header = {
         "order": catalog.order,
         "up_to_iso": catalog.up_to_iso,
         "count": len(catalog.braces),
         "count_raw": count_raw,
         "count_up_to_iso": count_up_to_iso,
         "tool_version": __version__,
-        "braces": [brace_to_json_dict(b) for b in catalog.braces],
     }
-    return json.dumps(meta, indent=1)
+    fields = [f'"{key}": {json.dumps(value)}' for key, value in header.items()]
+    entries = []
+    for brace in catalog.braces:
+        s = [str(v) for v in range(brace.n)]
+        dot, circ = (
+            _indented_array([_indented_array([s[v] for v in row], 4) for row in table], 3)
+            for table in (brace.dot.table, brace.circ.table)
+        )
+        entries.append(f'{{\n   "n": {brace.n},\n   "dot": {dot},\n   "circ": {circ}\n  }}')
+    fields.append(f'"braces": {_indented_array(entries, 1)}')
+    return "{\n " + ",\n ".join(fields) + "\n}"
 
 
 def load_expected_counts(path: str | Path | None = None) -> dict[int, tuple[int, int]]:

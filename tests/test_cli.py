@@ -3,7 +3,11 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from oracles import _ref_ybe_rows
@@ -324,6 +328,36 @@ def test_enumerate_summary_counts(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["count_raw"] == 6
     assert payload["count_up_to_iso"] == 4
+
+
+def test_enumerate_up_to_iso_validates_only_orbit_representatives(tmp_path):
+    """A cold `enumerate --order 8 --up-to-iso` validates at most two
+    SkewBraces per isomorphism class (47): the first table found of each
+    Aut(dot)-orbit and its canonical form. Building and validating the 314
+    raw braces first would make 361. Counted through SkewBrace.__post_init__
+    in a fresh interpreter, so that no cache of this process is warm."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import contextlib, io, sys\n"
+        "from skewbrace import braces, cli\n"
+        "calls = []\n"
+        "check = braces.SkewBrace.__post_init__\n"
+        "def counted(self):\n"
+        "    calls.append(None)\n"
+        "    check(self)\n"
+        "braces.SkewBrace.__post_init__ = counted\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    rc = cli.main(sys.argv[1:])\n"
+        "print(rc, len(calls))\n"
+    )
+    argv = ["enumerate", "--order", "8", "--up-to-iso", "--output", str(tmp_path / "cat.json")]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    rc, constructed = map(int, out.split())
+    assert rc == 0
+    assert 47 <= constructed <= 2 * 47
 
 
 #: sha256 of `enumerate --order N --up-to-iso` output, pinned when canonical
@@ -807,6 +841,19 @@ def test_all_witnesses_stream_pinned(command, tmp_path, capsys):
     assert main([command, path, "--all-witnesses"]) == 1
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) == ALL_WITNESSES_PINS[command]
+
+
+def test_all_witnesses_builds_line_tails_once_per_arity(tmp_path, capsys):
+    """verify --all-witnesses reports five failing identities in three
+    variables and one in two on one carrier: their witness line tails are
+    built twice, once per arity, and the stream keeps its pinned bytes."""
+    path = _witness_inputs(tmp_path)["verify"]
+    cli._line_tails.cache_clear()
+    assert main(["verify", path, "--all-witnesses"]) == 1
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), out.count("\n")) == ALL_WITNESSES_PINS["verify"]
+    info = cli._line_tails.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
 
 
 @pytest.mark.parametrize("command", sorted(FIRST_WITNESS_OUTPUT))

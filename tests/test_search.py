@@ -9,6 +9,8 @@ from oracles import _all_tables, _canonical_brace_brute_force, _forced_row1
 
 import skewbrace as sb
 from skewbrace import search
+from skewbrace.braces import brace_to_json_dict
+from skewbrace.cli import main
 from skewbrace.search import (
     _class_representatives,
     _group_classes,
@@ -204,6 +206,7 @@ def test_aut_computed_once_per_dot_group(monkeypatch):
 
     monkeypatch.setattr(search, "automorphisms", counting)
     search._automorphism_images.cache_clear()
+    search._brace_orbits.cache_clear()
     deduplicate_catalog(sb.enumerate_braces(8))
     # Order 8 is built from the classes of order 4; only its own groups
     # are dot groups.
@@ -407,6 +410,49 @@ def test_counts_above_order_8(order, raw, iso):
     assert len(deduplicate_catalog(catalog).braces) == iso
 
 
+@pytest.mark.parametrize("order, raw, iso", COUNTS_ABOVE_ORDER_8)
+def test_enumerate_up_to_iso_reports_raw_counts_above_order_8(order, raw, iso, tmp_path, capsys):
+    """`enumerate --up-to-iso` reads the raw count off the orbit sizes
+    without building the raw catalog; it is the raw count above."""
+    out = tmp_path / "cat.json"
+    assert main(["enumerate", "--order", str(order), "--up-to-iso", "--output", str(out)]) == 0
+    assert f"order={order} raw={raw} iso={iso} elapsed=" in capsys.readouterr().err
+    header = json.loads(out.read_text())
+    assert (header["count_raw"], header["count_up_to_iso"], header["count"]) == (raw, iso, iso)
+
+
+def _conjugate(psi, row):
+    """psi row psi^-1, written out cell by cell."""
+    out = [0] * len(row)
+    for y, v in enumerate(row):
+        out[psi[y]] = psi[v]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_row1_candidates_are_one_per_stabiliser_class(n):
+    """For every group class of orders 2-15, the candidates for row 1 of a
+    circ table meet every class of L_1 Aut(dot) under conjugation by the
+    automorphisms fixing 1 exactly once: their conjugates are the whole
+    coset, and no two of them are conjugate."""
+    for group in sb.enumerate_groups(n):
+        auts = [perm.image for perm in sb.automorphisms(group)]
+        translation = group.table[1]
+        coset = {tuple(translation[phi[y]] for y in range(n)) for phi in auts}
+        stabiliser = [psi for psi in auts if psi[1] == 1]
+        kept = search._row1_candidates(group)
+        classes = [{_conjugate(psi, row) for psi in stabiliser} for row in kept]
+        assert set().union(*classes) == coset
+        assert sum(map(len, classes)) == len(coset)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_up_to_iso_search_matches_dedup_of_raw_catalog(n):
+    """The catalog up to isomorphism, taken from the orbits' first tables
+    without a raw catalog, is the dedup of the raw catalog."""
+    assert sb.enumerate_braces(n, up_to_iso=True) == deduplicate_catalog(sb.enumerate_braces(n))
+
+
 def _stabiliser_size(automorphisms, table):
     """How many of the automorphisms (image tuples) fix the table, checked
     cell by cell: p fixes it when p[t[a][b]] == t[p[a]][p[b]] everywhere."""
@@ -498,6 +544,34 @@ def test_catalog_json_structure(raw_catalogs):
     assert obj["tool_version"] == sb.__version__
     assert len(obj["braces"]) == 6
     assert {"n", "dot", "circ"} <= set(obj["braces"][0])
+
+
+def _indent_1(catalog, count_raw, count_up_to_iso):
+    """The catalog text as json's own encoder writes it with indent=1."""
+    meta = {
+        "order": catalog.order,
+        "up_to_iso": catalog.up_to_iso,
+        "count": len(catalog.braces),
+        "count_raw": count_raw,
+        "count_up_to_iso": count_up_to_iso,
+        "tool_version": sb.__version__,
+        "braces": [brace_to_json_dict(b) for b in catalog.braces],
+    }
+    return json.dumps(meta, indent=1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_catalog_json_is_the_indented_encoding(n):
+    """catalog_to_json writes out, byte for byte, json.dumps(meta, indent=1)
+    of the raw and the up-to-isomorphism catalogs."""
+    for catalog in (sb.enumerate_braces(n), sb.enumerate_braces(n, up_to_iso=True)):
+        assert sb.catalog_to_json(catalog, 7, 3) == _indent_1(catalog, 7, 3)
+
+
+def test_catalog_json_of_an_empty_catalog():
+    catalog = sb.BraceCatalog(4, (), True)
+    assert sb.catalog_to_json(catalog, 0, 0) == _indent_1(catalog, 0, 0)
+    assert '"braces": []' in sb.catalog_to_json(catalog, 0, 0)
 
 
 def test_load_expected_counts_from_explicit_path(tmp_path):
