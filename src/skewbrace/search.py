@@ -16,11 +16,15 @@ classes.
 
 The brace search finds Aut(dot)-orbits of circ tables, not every table
 (_brace_orbits): isomorphic braces on one dot table are exactly the circ
-tables of one orbit. Relabeling by psi in Aut(dot) with psi(1) = 1
-conjugates row 1 by psi, so row 1 is drawn from one member of each class of
-L_1 Aut(dot) under that conjugation (_row1_candidates), and every orbit is
-still met. A table outside every known orbit is validated as a SkewBrace and
-puts its whole orbit into a set, so later members of the orbit are skipped.
+tables of one orbit. At a node of the search, let psi in Aut(dot) fix the
+label a of the row branched on and commute with every assigned row T_x.
+Then psi also fixes each assigned label, psi(x) = psi(T_x(0)) = T_x(psi(0))
+= x, so relabeling a table by psi keeps dot and the assigned rows and
+conjugates row a by psi. Row a is therefore drawn from one member of each
+class of L_a Aut(dot) under that conjugation, and every orbit is still met.
+At the first branch, a = 1 and the automorphisms are those fixing 1. A
+table outside every known orbit is validated as a SkewBrace and puts its
+whole orbit into a set, so later members of the orbit are skipped.
 One pass per dot group serves all three products: the catalog up to
 isomorphism is the canonical forms of the orbits' first tables, the raw
 count is the sum of the orbit sizes, and only the raw catalog builds and
@@ -52,15 +56,12 @@ automorphism of rep. The dot table is relabeled once by that isomorphism and
 the form is the least of its images under Aut(rep). The tests check both
 searches against a brute force over all (n-1)! relabelings.
 
-The default dedup of a given raw catalog walks the same orbits: the first
-brace of an orbit in catalog order is its representative and puts every
-Aut(dot) image of its circ table into a set (_aut_orbit, shared with the
-search), so later members of the orbit cost one lookup. A table is relabeled
-as one byte string, by one gather of its cells and one bytes.translate of
-their values; the search, the dedup and the canonical forms share these
-relabelings, built once per group (_aut_relabelings). Aut(dot) is computed
-once for the brace search, the dedup and the canonical forms of a catalog
-(_automorphism_images).
+The default dedup of a given raw catalog keys each brace by its canonical
+form. A table is relabeled as one byte string, by one gather of its cells
+and one bytes.translate of their values; the search's orbits and the
+canonical forms share these relabelings, built once per group
+(_aut_relabelings). Aut(dot) is computed once for the brace search and the
+canonical forms of a catalog (_automorphism_images).
 """
 
 from __future__ import annotations
@@ -128,13 +129,17 @@ def brace_sort_key(brace: SkewBrace) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 def _closure_tables(
-    n: int, rows_for: Callable[[int, list[set[int]]], Sequence[tuple[int, ...]]]
+    n: int,
+    rows_for: Callable[
+        [int, list[tuple[int, ...] | None], list[set[int]]], Sequence[tuple[int, ...]]
+    ],
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield every group table on 0..n-1 with identity 0 whose rows are
     drawn from rows_for.
 
-    Rows are left translations. rows_for(a, cols) gives the candidate rows
-    for row a, where cols[z] holds the values already used in column z;
+    Rows are left translations. rows_for(a, rows, cols) gives the candidate
+    rows for row a, where rows[x] is row x or None while unassigned and
+    cols[z] holds the values already used in column z;
     assigning row a and row b forces row a.b to be their composition, so the
     search branches only on generator rows. A candidate or forced row that
     repeats a value in some column, or a forced row that disagrees with the
@@ -187,7 +192,7 @@ def _closure_tables(
         if a is None:
             yield tuple(rows)  # type: ignore[arg-type]
             return
-        for perm in rows_for(a, cols):
+        for perm in rows_for(a, rows, cols):
             trail: list[int] = []
             if put(a, perm, trail) and close(a, trail):
                 yield from dfs()
@@ -216,17 +221,11 @@ def _class_representatives(
     return sorted(map(min, classes))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _automorphism_images(group: GroupTable) -> tuple[tuple[int, ...], ...]:
-    # Shared by the brace search (its cosets and _row1_candidates) and,
-    # through _aut_relabelings, its orbits, the dedup and the canonical forms
-    # of a catalog. It also holds the groups N of _cyclic_extensions, but on
-    # a cold cache the (at most 5) dot groups go in last, each asked for three
-    # times in a row by _brace_orbits: a cold enumerate_braces(8,
-    # up_to_iso=True) has 9 misses and 10 hits, order 12 has 12 misses and
-    # 12 hits. The canonical forms ask for Aut(rep) of a dot group the orbits
-    # have already relabeled by: at orders 8 and 12, _aut_relabelings has 5
-    # misses (5 of the hits here), then 47 and 38 hits.
+    # Cached because Aut is the costliest step per group, and the brace
+    # search, the canonical forms and _cyclic_extensions ask again for the
+    # same groups.
     return tuple(perm.image for perm in automorphisms(group))
 
 
@@ -352,29 +351,6 @@ def _naive_tables(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 # --- brace enumeration on a fixed dot group ----------------------------------
 
 
-def _row1_candidates(group: GroupTable) -> list[tuple[int, ...]]:
-    """One member of each class of the coset L_1 Aut(group) under
-    conjugation by the stabiliser of 1 in Aut(group), first-met in the
-    order of Aut.
-
-    For psi in Aut(group) with psi(1) = 1, psi L_1 phi psi^-1 = L_1 psi phi
-    psi^-1, so the classes partition the coset; relabeling a circ table by
-    psi keeps dot and conjugates row 1 by psi, so every Aut(group)-orbit of
-    circ tables has a member whose row 1 is one of these.
-    """
-    auts = _automorphism_images(group)
-    stabiliser = [(psi, _inverse(psi)) for psi in auts if psi[1] == 1]
-    translation = group.table[1]
-    kept: list[tuple[int, ...]] = []
-    met: set[tuple[int, ...]] = set()
-    for phi in auts:
-        row = _compose(translation, phi)
-        if row not in met:
-            kept.append(row)
-            met.update(_compose(psi, _compose(row, inverse)) for psi, inverse in stabiliser)
-    return kept
-
-
 @lru_cache(maxsize=16)
 def _brace_orbits(group: GroupTable) -> tuple[tuple[SkewBrace, frozenset[bytes]], ...]:
     """The Aut(group)-orbits of circ tables making (group, circ) a skew
@@ -386,19 +362,39 @@ def _brace_orbits(group: GroupTable) -> tuple[tuple[SkewBrace, frozenset[bytes]]
     L_x Aut(group) of the holomorph, L_x the dot left translation; the circ
     tables are the group tables whose rows lie in these cosets (the regular
     subgroups of the holomorph), found by the closure search on those
-    candidate rows, with row 1 drawn only from _row1_candidates. A table
-    found in a known orbit is skipped.
+    candidate rows. Row a takes one member of each class of its coset under
+    conjugation by the automorphisms psi with psi(a) = a that commute with
+    every assigned row, first-met in the order of Aut: psi L_a phi psi^-1 =
+    L_a psi phi psi^-1, so the classes partition the coset, and the module
+    docstring says why every orbit is still met. A table found in a known
+    orbit is skipped.
     """
     n = group.n
     dot = group.table
     auts = _automorphism_images(group)
-    cosets = [[_compose(dot[x], s) for s in auts] for x in range(n)]
-    if n > 1:
-        cosets[1] = _row1_candidates(group)
+
+    def rows_for(
+        a: int, rows: list[tuple[int, ...] | None], cols: list[set[int]]
+    ) -> list[tuple[int, ...]]:
+        assigned = [row for row in rows if row is not None]
+        stabiliser = [
+            (psi, _inverse(psi))
+            for psi in auts
+            if psi[a] == a and all(_compose(psi, row) == _compose(row, psi) for row in assigned)
+        ]
+        kept: list[tuple[int, ...]] = []
+        met: set[tuple[int, ...]] = set()
+        for phi in auts:
+            row = _compose(dot[a], phi)
+            if row not in met:
+                kept.append(row)
+                met.update(_compose(psi, _compose(row, inverse)) for psi, inverse in stabiliser)
+        return kept
+
     relabelings = _aut_relabelings(group)
     orbits: list[tuple[SkewBrace, frozenset[bytes]]] = []
     met: set[bytes] = set()
-    for rows in _closure_tables(n, lambda a, cols: cosets[a]):
+    for rows in _closure_tables(n, rows_for):
         flat = bytes(chain.from_iterable(rows))
         if flat not in met:
             orbit = _aut_orbit(flat, relabelings)
@@ -581,32 +577,9 @@ def canonical_brace(brace: SkewBrace) -> SkewBrace:
     return SkewBrace(GroupTable(n, _unflatten(best, n)), rep)
 
 
-def _dedup_by_aut_orbit(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
-    # Braces sharing a dot table are isomorphic exactly when their circ
-    # tables lie in one Aut(dot) orbit. The orbits are enumerated rather than
-    # keyed: the first brace of an orbit in catalog order becomes its
-    # representative and puts every Aut(dot) image of its circ table into
-    # in_orbit, so each later member costs one lookup and the relabelings
-    # number orbits x |Aut(dot)|, not braces x |Aut(dot)|. Isomorphic braces
-    # on two different dot tables (a catalog not built on the class
-    # representatives) stay apart here until their canonical forms coincide
-    # below.
-    by_dot: dict[tuple, list[SkewBrace]] = {}
-    for brace in raw:
-        by_dot.setdefault(brace.dot.table, []).append(brace)
-    reps: list[SkewBrace] = []
-    for members in by_dot.values():
-        relabelings = _aut_relabelings(members[0].dot)
-        in_orbit: set[bytes] = set()
-        for brace in members:
-            flat = bytes(chain.from_iterable(brace.circ.table))
-            if flat not in in_orbit:
-                reps.append(brace)
-                in_orbit |= _aut_orbit(flat, relabelings)
-    forms: dict[tuple[int, ...], SkewBrace] = {}
-    for brace in reps:
-        form = canonical_brace(brace)
-        forms[brace_sort_key(form)] = form
+def _dedup_by_canonical_form(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
+    # Isomorphic braces, on one dot table or not, share one canonical form.
+    forms = {brace_sort_key(form): form for form in map(canonical_brace, raw)}
     return [forms[key] for key in sorted(forms)]
 
 
@@ -621,7 +594,7 @@ def _dedup_pairwise(raw: Sequence[SkewBrace]) -> list[SkewBrace]:
 def deduplicate_catalog(catalog: BraceCatalog, pairwise: bool = False) -> BraceCatalog:
     """Collapse a raw catalog to canonical forms, one per isomorphism class.
 
-    The default route groups circ tables into Aut(dot) orbits; the pairwise
+    The default route keys each brace by its canonical form; the pairwise
     route runs brute-force isomorphism tests instead (used by the oracle so
     the two enumerators do not share their class partitioning). A brace above
     MAX_ORDER raises OrderTooLargeError before either route searches.
@@ -631,7 +604,7 @@ def deduplicate_catalog(catalog: BraceCatalog, pairwise: bool = False) -> BraceC
     # Each brace, not catalog.order: a hand-built catalog may misstate it.
     for brace in catalog.braces:
         _check_order(brace.n, MAX_ORDER)
-    dedup = _dedup_pairwise if pairwise else _dedup_by_aut_orbit
+    dedup = _dedup_pairwise if pairwise else _dedup_by_canonical_form
     return BraceCatalog(catalog.order, tuple(dedup(catalog.braces)), True)
 
 

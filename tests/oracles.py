@@ -60,7 +60,7 @@ def _all_tables(n: int, forced_row1: bool = False) -> tuple[tuple[tuple[int, ...
     minimum and are still few enough to list at orders 9 and 10."""
     forced = [_forced_row1(n)] if forced_row1 and n > 1 else None
 
-    def rows_for(a: int, cols: list[set[int]]) -> Sequence[tuple[int, ...]]:
+    def rows_for(a: int, rows: list, cols: list[set[int]]) -> Sequence[tuple[int, ...]]:
         return forced if a == 1 and forced else _latin_rows(n, a, cols)
 
     return tuple(sorted(_closure_tables(n, rows_for)))

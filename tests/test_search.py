@@ -430,20 +430,57 @@ def _conjugate(psi, row):
 
 
 @pytest.mark.parametrize("n", range(2, 16))
-def test_row1_candidates_are_one_per_stabiliser_class(n):
-    """For every group class of orders 2-15, the candidates for row 1 of a
-    circ table meet every class of L_1 Aut(dot) under conjugation by the
+def test_row1_candidates_are_one_per_stabiliser_class(n, monkeypatch):
+    """For every group class of orders 2-15, the candidates that the brace
+    search's row rule gives for row 1 at the first branch, where only row 0
+    is assigned, meet every class of L_1 Aut(dot) under conjugation by the
     automorphisms fixing 1 exactly once: their conjugates are the whole
     coset, and no two of them are conjugate."""
+    rules = []
+    monkeypatch.setattr(search, "_closure_tables", lambda size, rows_for: rules.append(rows_for) or ())
     for group in sb.enumerate_groups(n):
+        # Past the cache, which must not keep this search's empty result.
+        search._brace_orbits.__wrapped__(group)
+        rows = [tuple(range(n))] + [None] * (n - 1)
+        kept = rules.pop()(1, rows, [{z} for z in range(n)])
         auts = [perm.image for perm in sb.automorphisms(group)]
         translation = group.table[1]
         coset = {tuple(translation[phi[y]] for y in range(n)) for phi in auts}
         stabiliser = [psi for psi in auts if psi[1] == 1]
-        kept = search._row1_candidates(group)
         classes = [{_conjugate(psi, row) for psi in stabiliser} for row in kept]
         assert set().union(*classes) == coset
         assert sum(map(len, classes)) == len(coset)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_brace_orbits_hold_every_table_of_the_whole_cosets(n):
+    """For every group class of orders 1-15, the orbits found with one
+    candidate per stabiliser class at each branched row hold exactly the circ
+    tables that the closure search finds with every row drawn from its whole
+    coset L_a Aut(dot)."""
+    for group in sb.enumerate_groups(n):
+        auts = [perm.image for perm in sb.automorphisms(group)]
+        cosets = [[tuple(row[phi[y]] for y in range(n)) for phi in auts] for row in group.table]
+        tables = search._closure_tables(n, lambda a, rows, cols: cosets[a])
+        orbits = [orbit for _, orbit in search._brace_orbits(group)]
+        assert set().union(*orbits) == {bytes(v for row in t for v in row) for t in tables}
+
+
+def test_orbit_search_builds_at_most_105_tables_at_order_8(monkeypatch):
+    """The stabiliser rule at every branched row keeps the closure tables of
+    the order-8 orbit search to 105 (the rule at row 1 alone builds 140)."""
+    built = []
+    closure = search._closure_tables
+
+    def counting(*args):
+        for rows in closure(*args):
+            built.append(rows)
+            yield rows
+
+    monkeypatch.setattr(search, "_closure_tables", counting)
+    search._brace_orbits.cache_clear()
+    assert len(sb.enumerate_braces(8, up_to_iso=True).braces) == 47
+    assert 0 < len(built) <= 105
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -466,7 +503,7 @@ def test_raw_counts_by_orbit_stabiliser():
     into Aut(dot) orbits, one per brace class, of size |Aut(dot)| / |Stab|
     with Stab the automorphisms of dot that also fix circ. So each raw count
     is that sum over the catalog up to isomorphism. The stabiliser is found
-    cell by cell, sharing nothing with the dedup's orbit walk."""
+    cell by cell."""
     pinned = {order: raw for order, (raw, _) in sb.load_expected_counts().items()}
     pinned.update((order, raw) for order, raw, _ in COUNTS_ABOVE_ORDER_8)
     sums, counts = {}, {}

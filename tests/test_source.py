@@ -1,12 +1,16 @@
 """Checks on the package source itself: no unused imports, a pinned public
 API, so that a deletion leaves no debris and a removed public name shows in
 the diff, no syntax newer than the oldest Python the package supports, no test
-oracle in the package, and identity and Yang-Baxter sweeps that compare whole
-rows."""
+oracle in the package, identity and Yang-Baxter sweeps that compare whole
+rows, and a bench tracer that still finds the functions it wraps."""
 
 import ast
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,7 +116,7 @@ TWINS = {
         "_table_isomorphisms",
         "_compose",
     },
-    "_dedup_pairwise": {"_dedup_by_aut_orbit", "_automorphism_images", "automorphisms"},
+    "_dedup_pairwise": {"_dedup_by_canonical_form", "_automorphism_images", "automorphisms"},
     "oracle_enumerate": _ORACLE_AVOIDS,
     "_naive_tables": _ORACLE_AVOIDS,
     "_naive_latin_squares": _ORACLE_AVOIDS,
@@ -406,3 +410,27 @@ def test_witness_readers_share_one_mask():
         }
         assert "_differing" in called, function.name
         assert "map" not in called and "ne" not in _words(ast.walk(function)), function.name
+
+
+def test_bench_tracer_finds_every_function_it_wraps():
+    """perfbench/tracer.py times the package by replacing its functions by
+    name, and a name it no longer finds leaves a per-layer metric at 0
+    without an error. Only cli.check_ybe, which cli no longer imports, is
+    missing; a renamed or moved function would show here."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = (
+        "import json, tracer\n"
+        "rec = tracer.Recorder()\n"
+        "tracer.install(rec)\n"
+        "print(json.dumps(rec.unwrapped))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=root / "perfbench",
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert json.loads(out) == ["skewbrace.cli.check_ybe"]
