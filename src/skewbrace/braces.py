@@ -214,10 +214,6 @@ def _sigma_tau_tables(dot: GroupTable, circ: GroupTable) -> tuple[_Table, _Table
     is immutable and hashes by value, and S and U are tuples of tuples, so
     no caller can change the shared result.
     """
-    return _build_sigma_tau(dot, circ)
-
-
-def _build_sigma_tau(dot: GroupTable, circ: GroupTable) -> tuple[_Table, _Table]:
     d, dinv, c, cinv = dot.table, dot.inv, circ.table, circ.inv
     # Row x of S is row x^-1 of dot after row x of circ; entry y of row x of
     # U is tau_y(x) = sigma_x(y)^-1 o x o y, read off entry y of row x of S.

@@ -91,7 +91,7 @@ def _load_rmap(path: str) -> YbeMap:
         raise ValueError('ambiguous JSON: both an "r" field and "dot"/"circ" fields')
     if isinstance(obj, dict) and "r" in obj:
         return parse_rmap_json(obj)
-    if isinstance(obj, dict) and "dot" in obj:
+    if isinstance(obj, dict) and {"dot", "circ"} & set(obj):
         return build_r(SkewBrace(*parse_brace_tables_json(obj)))
     raise ValueError('expected JSON with an "r" field or "dot"/"circ" fields')
 

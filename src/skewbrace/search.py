@@ -49,12 +49,15 @@ no smaller nontrivial order, so row 1 of a lexicographically smallest table
 is always the left translation with cycles (0 1 .. p-1)(p .. 2p-1)... The
 one-table search _lex_min_table therefore labels an element g of order p as
 1 and g^j h_i as i*p + j, branching only on g and the coset representatives
-h_i. A canonical brace needs no search of its own: circ is compared first, so
-its winning circ table is the minimum of circ's group class, and the
-relabelings reaching it are one isomorphism circ -> rep composed with each
-automorphism of rep. The dot table is relabeled once by that isomorphism and
-the form is the least of its images under Aut(rep). The tests check both
-searches against a brute force over all (n-1)! relabelings.
+h_i. Once h_1 is chosen, its row, row p, forces the next representative
+whenever a labeled column has an unlabeled product there: any other choice
+gives that cell a larger label. A canonical brace needs no search of its
+own: circ is compared first, so its winning circ table is the minimum of
+circ's group class, and the relabelings reaching it are one isomorphism
+circ -> rep composed with each automorphism of rep. The dot table is
+relabeled once by that isomorphism and the form is the least of its images
+under Aut(rep). The tests check both searches against a brute force over all
+(n-1)! relabelings.
 
 The default dedup of a given raw catalog keys each brace by its canonical
 form. A table is relabeled as one byte string, by one gather of its cells
@@ -466,9 +469,13 @@ def _lex_min_table(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
     translation with cycles (0 1 .. m-1)(m .. 2m-1)... (see the module
     docstring), so only labelings of that shape are searched: an element g
     of order m gets label 1 and g^j h_i gets label i*m + j, where h_0 = 0 and
-    each h_i lies outside the cosets <g> h_k labeled before it. A partial
-    labeling is dropped as soon as the labeled prefix of row m, the first row
-    not fixed by that shape, exceeds the best table so far.
+    each h_i lies outside the cosets <g> h_k labeled before it. Rows 0..m-1
+    are the powers of g, fixed by that shape, so row m (h_1) is the first
+    that depends on a choice. Once h_1 is labeled, let b be the first labeled
+    column whose product h_1 q[b] is still unlabeled: the cells of row m
+    before b are already fixed, and only taking that product as the next h_i
+    gives cell (m, b) the smallest free label, so it is the only choice
+    searched.
     """
     n = len(rows)
     if n == 1:
@@ -478,32 +485,17 @@ def _lex_min_table(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
     p: list[int | None] = [None] * n
     q = [0] * n
 
-    def worse_prefix(labeled: int) -> bool:
-        # Rows 0..m-1 are the powers of g, fixed by the shape, so row m (h_1)
-        # is the first that depends on a choice. Its cells in columns
-        # 0..labeled-1 are known once their product is labeled; an unlabeled
-        # product gets a label >= labeled.
-        if best is None or labeled <= m:
-            return False
-        best_row = best[m]
-        src = rows[q[m]]
-        for b in range(labeled):
-            v = p[src[q[b]]]
-            if v is None:
-                return best_row[b] < labeled
-            if v != best_row[b]:
-                return v > best_row[b]
-        return False
-
     def extend(labeled: int, g_row: Sequence[int]) -> None:
         nonlocal best
         if labeled == n:
             if best is None or _relabels_below(rows, p, q, best):  # type: ignore
                 best = _relabel(rows, p, q)  # type: ignore
             return
-        if worse_prefix(labeled):
-            return
-        for h in range(n) if labeled else (0,):
+        choices = range(n) if labeled else (0,)
+        if labeled > m:
+            h_row = rows[q[m]]
+            choices = next(([x] for x in map(h_row.__getitem__, q[:labeled]) if p[x] is None), choices)
+        for h in choices:
             if p[h] is not None:
                 continue
             x = h

@@ -115,19 +115,10 @@ def test_maps_out_of_range_exits_2(xor_file):
     assert main(["maps", xor_file, "--element", "7"]) == 2
 
 
-def _count_sigma_tau_builds(monkeypatch):
-    """Empty the sigma/tau cache, so that an equal pair left by an earlier
-    call is no hit, and return the list of pairs that are then built."""
-    braces._sigma_tau_tables.cache_clear()
-    builds = []
-    build = braces._build_sigma_tau
-
-    def counted(dot, circ):
-        builds.append((dot, circ))
-        return build(dot, circ)
-
-    monkeypatch.setattr(braces, "_build_sigma_tau", counted)
-    return builds
+#: The cache of R's sigma/tau tables. cache_clear() empties it and its
+#: counts, so that an equal pair left by an earlier call is no hit, and
+#: cache_info().misses then counts the builds.
+SIGMA_TAU = braces._sigma_tau_tables
 
 
 @pytest.mark.parametrize(
@@ -144,7 +135,7 @@ def _count_sigma_tau_builds(monkeypatch):
         ["maps", "{brace}", "--element", "3", "--format", "json"],
     ],
 )
-def test_one_sigma_tau_build_per_command(argv, tmp_path, monkeypatch, capsys):
+def test_one_sigma_tau_build_per_command(argv, tmp_path, capsys):
     """verify (five sweeps read S and U), r-map and check-ybe each build the
     sigma/tau tables of the file's pair once; maps builds none, since each
     permutation is built alone, and with --element its two rows are the
@@ -153,13 +144,10 @@ def test_one_sigma_tau_build_per_command(argv, tmp_path, monkeypatch, capsys):
     brace.write_text(XOR_BRACE_JSON)
     pair = tmp_path / "pair.json"
     pair.write_text(BAD_PAIR_JSON)
-    builds = _count_sigma_tau_builds(monkeypatch)
+    SIGMA_TAU.cache_clear()
     code = main([arg.format(brace=brace, pair=pair) for arg in argv])
     assert code == (1 if "{pair}" in argv else 0)
-    if argv[0] != "maps":
-        assert len(builds) == 1
-        return
-    assert builds == []
+    assert SIGMA_TAU.cache_info().misses == (0 if argv[0] == "maps" else 1)
     if "--element" not in argv:
         return
     x = int(argv[argv.index("--element") + 1])
@@ -173,16 +161,16 @@ def test_one_sigma_tau_build_per_command(argv, tmp_path, monkeypatch, capsys):
         assert out == f"sigma[{x}] = {' '.join(map(str, sigma))}\ntau[{x}] = {' '.join(map(str, tau))}\n"
 
 
-def test_one_sigma_tau_build_across_commands_on_one_file(tmp_path, monkeypatch):
+def test_one_sigma_tau_build_across_commands_on_one_file(tmp_path):
     """verify, check-ybe and r-map on one brace file in one process build
     the sigma/tau tables once: each command parses its own equal pair, and
     the cache is keyed by value."""
     brace = tmp_path / "brace.json"
     brace.write_text(XOR_BRACE_JSON)
-    builds = _count_sigma_tau_builds(monkeypatch)
+    SIGMA_TAU.cache_clear()
     for command in ("verify", "check-ybe", "r-map"):
         assert main([command, str(brace)]) == 0
-    assert len(builds) == 1
+    assert SIGMA_TAU.cache_info().misses == 1
 
 
 def test_maps_json_format(xor_file, capsys):
@@ -418,10 +406,13 @@ DIGITS_4000 = "9" * 4_000
 DIGITS_5000 = "9" * 5_000
 
 
+#: What every command reports for an object with only one of a brace's
+#: table fields: check-ybe reads it as a brace, not as an R-map.
+BRACE_FIELDS = 'expected an object with fields "n", "dot" and "circ"'
 #: What each command reports for JSON that is not an object.
-NOT_AN_OBJECT = dict.fromkeys(
-    ["verify", "maps", "r-map"], 'expected an object with fields "n", "dot" and "circ"'
-) | {"check-ybe": 'expected JSON with an "r" field or "dot"/"circ" fields'}
+NOT_AN_OBJECT = dict.fromkeys(["verify", "maps", "r-map"], BRACE_FIELDS) | {
+    "check-ybe": 'expected JSON with an "r" field or "dot"/"circ" fields'
+}
 
 
 @pytest.mark.parametrize(
@@ -510,6 +501,8 @@ NOT_AN_OBJECT = dict.fromkeys(
             "invalid JSON: duplicate key 'aaa",
             id="key of 100000 characters given twice",
         ),
+        pytest.param({"n": 1, "dot": [[0]]}, BRACE_FIELDS, id="dot without circ"),
+        pytest.param({"n": 1, "circ": [[0]]}, BRACE_FIELDS, id="circ without dot"),
         pytest.param("[1, 2]", NOT_AN_OBJECT, id="JSON array"),
         pytest.param(" \n\t[[0]]", NOT_AN_OBJECT, id="JSON array after whitespace"),
         pytest.param(

@@ -361,17 +361,27 @@ def test_group_reps_pinned():
 #: Orders above 12 whose class minima _lex_min_table finds in under a second,
 #: and the sha256 of their compact JSON as the search gave it when it still
 #: pruned on row 2 whatever the smallest prime (about 70 s, order 21 alone
-#: a minute). Orders 16 and 20, where that prime is 2, take seconds.
+#: a minute).
 GROUP_REPS_ABOVE_12 = (13, 14, 15, 17, 18, 19, 21, 22, 23)
 GROUP_REPS_ABOVE_12_SHA256 = "4a18fd4288d08ffd4ad6504efd0a7ecd74e352074292de892010f0cde3172f9b"
 
+#: Orders 16 and 20, where that prime is 2 and the search takes seconds, and
+#: the sha256 of their compact JSON as the search gave it when it still
+#: pruned on the labeled prefix of row 2 instead of forcing the next choice.
+GROUP_REPS_16_20_SHA256 = "749a47571f8f62724c5a38adfa34047e2e2c3381006707dbc9d57efa7f6e1f3b"
 
-def test_group_reps_above_order_12_pinned():
-    reps = json.dumps([[g.table for g in _group_reps(n)] for n in GROUP_REPS_ABOVE_12], separators=(",", ":"))
-    assert hashlib.sha256(reps.encode()).hexdigest() == GROUP_REPS_ABOVE_12_SHA256
+
+@pytest.mark.parametrize(
+    "orders, digest",
+    [(GROUP_REPS_ABOVE_12, GROUP_REPS_ABOVE_12_SHA256), ((16, 20), GROUP_REPS_16_20_SHA256)],
+    ids=["13-23", "16-and-20"],
+)
+def test_group_reps_above_order_12_pinned(orders, digest):
+    reps = json.dumps([[g.table for g in _group_reps(n)] for n in orders], separators=(",", ":"))
+    assert hashlib.sha256(reps.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_lex_min_table_matches_brute_force(n):
     """The one-table search gives the dot table of the brute-force canonical
     form of (g, g), on the unlabelled tables of _group_classes and on a
@@ -382,6 +392,18 @@ def test_lex_min_table_matches_brute_force(n):
         expected = _canonical_brace_brute_force(brace).dot.table
         assert _lex_min_table(rows) == expected
         assert _lex_min_table(_relabeled(brace, rng).dot.table) == expected
+
+
+@pytest.mark.parametrize("n", range(8, 16))
+def test_lex_min_table_ignores_the_labeling(n):
+    """Above the reach of the brute force, two random relabelings of each
+    class table have the class minimum of the table itself."""
+    rng = random.Random(n)
+    for rows in _group_classes(n):
+        brace = sb.trivial_brace(sb.GroupTable(n, rows))
+        expected = _lex_min_table(rows)
+        for _ in range(2):
+            assert _lex_min_table(_relabeled(brace, rng).dot.table) == expected
 
 
 def test_group_class_counts_match_oeis_a000001():
